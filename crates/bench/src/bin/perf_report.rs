@@ -329,9 +329,11 @@ struct EcoStaRow {
 /// its equivalence retries) run once up front to materialise the
 /// post-change snapshots; the clock only sees the timing work — a
 /// from-scratch `analyze` per change versus one persistent engine
-/// patched through every delta. Bookkeeping counters are summed over
-/// the replay; `structures_rebuilt` is true if any change fell off the
-/// journal-patching fast path.
+/// patched through every delta. Bookkeeping counters (levels the
+/// snapshot patch recomputed, fanout entries it patched, endpoint
+/// requirements re-derived) are summed over the replay;
+/// `structures_rebuilt` is true if any change recompiled the snapshot
+/// instead of patching it.
 fn eco_sta_row() -> EcoStaRow {
     let design = build_dsc(0.015).expect("dsc");
     let tech = Technology::default();

@@ -15,8 +15,8 @@
 //!
 //! Timing follows every change **incrementally**: the replay keeps an
 //! [`IncrementalSta`] engine alive across the whole history, feeds it
-//! each change's [`EditDelta`], and records how many graph evaluations
-//! the cone-limited update actually performed versus what a full re-run
+//! each change's [`EditDelta`], and records how many gate and net
+//! evaluations the cone-limited update actually performed versus what a full re-run
 //! would have cost ([`StaEffort`] per change, totals on
 //! [`ReplayOutcome`]). The measured cone fraction also drives the
 //! engineer-hours model: a change that only dirties 2% of the chip costs
@@ -108,7 +108,7 @@ pub fn paper_change_history() -> Vec<ChangeRequest> {
 /// Measured STA cost of re-verifying one change.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StaEffort {
-    /// Graph evaluations the incremental update performed.
+    /// Evaluations the incremental update performed.
     pub incremental_evals: usize,
     /// Evaluations a from-scratch analysis would have performed.
     pub full_evals: usize,
@@ -116,12 +116,13 @@ pub struct StaEffort {
     pub cone_fraction: f64,
     /// The update fell back to a full re-annotation (cone too large).
     pub used_full: bool,
-    /// Derived-structure bookkeeping the update performed: levelization
-    /// slots reordered + fanout entries patched + endpoint requirements
-    /// recomputed. O(edit) on the journal path, O(netlist) on a rebuild.
+    /// Snapshot bookkeeping the update performed: logic levels
+    /// recomputed + fanout entries patched + endpoint requirements
+    /// recomputed. O(edit + cone) on the journal path, O(netlist) on a
+    /// recompile.
     pub bookkeeping_ops: usize,
-    /// The persistent engine structures were re-derived from scratch
-    /// instead of patched in place.
+    /// The engine recompiled its snapshot instead of patching it from
+    /// the change's journal.
     pub structures_rebuilt: bool,
     /// Setup WNS after the change (ns).
     pub wns_ns: f64,
@@ -157,7 +158,7 @@ pub struct ReplayOutcome {
     pub incremental_hours: f64,
     /// What full re-runs would have cost (hours).
     pub full_rerun_hours: f64,
-    /// Total graph evaluations the incremental STA performed across all
+    /// Total evaluations the incremental STA performed across all
     /// netlist-touching changes.
     pub incremental_gate_evals: usize,
     /// Total evaluations from-scratch analyses would have performed.

@@ -29,8 +29,9 @@
 //!
 //! The ECO loop's sign-off timing is maintained **incrementally**: the
 //! engine baselines one full analysis on the routed view, then each
-//! upsize/buffer fix re-times only its fanout/fanin cone via
-//! [`IncrementalSta`], bit-identically to a from-scratch run.
+//! upsize/buffer fix patches the engine's compiled snapshot and re-times
+//! only its fanout/fanin cone via [`IncrementalSta`], bit-identically to
+//! a from-scratch run; the two-corner sign-off reuses that snapshot.
 //! [`FlowResult::sta_incremental_evals`] versus
 //! [`FlowResult::sta_full_evals`] records the saving;
 //! [`FlowOptions::sta_cone_fraction`] bounds the cone before the engine
@@ -122,10 +123,14 @@ impl Default for FlowOptions {
 /// The counter behind it ([`compiles_on_this_thread`]) is thread-local;
 /// every stage kernel derives its compiled view on the stage-driving
 /// thread (the parallel stages compile once *before* fanning work out),
-/// so the deltas captured around each stage are exact. A clean flow
-/// compiles exactly four times: once for ATPG's combinational circuit,
-/// once for the sign-off STA baseline shared by every corner, and twice
-/// for equivalence (one per side).
+/// so the deltas captured around each stage are exact. STA walks a
+/// compiled snapshot too, so every STA run counts. A clean flow with
+/// wirelength-driven placement compiles exactly six times: once for
+/// the pre-layout STA, once for the layout sign-off STA, once for
+/// ATPG's combinational circuit, once in the timing-fix stage (its
+/// incremental ECO loop and two-corner sign-off share the snapshot),
+/// and twice for equivalence (one per side). Timing-driven placement
+/// adds one for its slack-weighting STA.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct CompileStats {
     /// `(stage, compile calls while that stage ran)` in execution
@@ -169,7 +174,7 @@ pub struct FlowResult {
     pub corner_signoff: CornerSignoff,
     /// Upsize/buffer ECOs applied by the timing-fix loop.
     pub timing_ecos: usize,
-    /// Graph evaluations the ECO loop's incremental STA performed.
+    /// Evaluations the ECO loop's incremental STA performed.
     pub sta_incremental_evals: usize,
     /// Evaluations the same re-analyses would have cost from scratch.
     pub sta_full_evals: usize,
@@ -1108,16 +1113,16 @@ fn stage_timing_fix(
             None => {
                 // graceful fallback: the loops engaged without a
                 // baseline (clean pre-ECO timing) — baseline now; the
-                // fresh annotation already reflects the edits in
-                // `delta`, and re-timing their cones is idempotent
-                let (inc, _) = sta_with_hier(
+                // fresh analysis already reflects the edits in `delta`
+                let (inc, report) = sta_with_hier(
                     Sta::new(eco.netlist(), &options.tech, constraints.clone())
                         .with_wire_delays(wires.clone())
                         .with_clock_latency(layout.clock_tree.latency_ns.clone()),
                     hier,
                 )
                 .into_incremental()?;
-                engine.insert(inc.with_max_cone_fraction(options.sta_cone_fraction))
+                let inc = engine.insert(inc.with_max_cone_fraction(options.sta_cone_fraction));
+                return Ok((report, *inc.stats()));
             }
         };
         inc.set_wire_delays(wires.clone());
@@ -1182,7 +1187,9 @@ fn stage_timing_fix(
     }
     // Two-corner sign-off of the post-ECO netlist: setup where delays
     // are slowest, hold where they are fastest, both corners analyzed
-    // concurrently over the flow's parallelism setting.
+    // concurrently over the flow's parallelism setting. When the fix
+    // loops ran, every edit was followed by an engine update, so the
+    // engine's patched snapshot is current and the stage compiles once.
     wires.resize(eco.netlist().num_nets(), 0.01);
     let base = sta_with_hier(
         Sta::new(eco.netlist(), &options.tech, constraints.clone())
@@ -1190,12 +1197,12 @@ fn stage_timing_fix(
             .with_clock_latency(layout.clock_tree.latency_ns.clone()),
         hier,
     );
-    let corner_signoff = multi_corner::signoff(
-        &base,
-        Corner::worst(),
-        Corner::best(),
-        options.parallelism,
-    )?;
+    debug_assert!(eco.delta().is_empty(), "every edit was re-timed by the engine");
+    let (slow, fast, par) = (Corner::worst(), Corner::best(), options.parallelism);
+    let corner_signoff = match &engine {
+        Some(inc) => multi_corner::signoff_compiled(&base, inc.compiled(), slow, fast, par)?,
+        None => multi_corner::signoff(&base, slow, fast, par)?,
+    };
     let (netlist, _) = eco.finish();
     Ok(TimingFixOutcome {
         netlist,

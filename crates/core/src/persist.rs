@@ -44,8 +44,9 @@ pub const CHECKPOINT_MAGIC: u32 = u32::from_le_bytes(*b"CKPT");
 
 /// Newest checkpoint format this build reads and writes. Version 2
 /// added [`RouteConfig::capacity_scale`](camsoc_layout::route::RouteConfig)
-/// to the embedded flow options.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// to the embedded flow options; version 3 dropped the equivalence
+/// engine selector from them.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// A checkpoint load failure: the file was unreadable or its bytes
 /// don't decode.

@@ -27,10 +27,14 @@
 //!
 //! Snapshots are created with [`Netlist::compile`] and kept coherent
 //! across ECO edits by replaying the [`EditDelta`] connectivity journal
-//! through [`CompiledNetlist::patch`] — the same journal that keeps
-//! `camsoc_sta::IncrementalSta`'s persistent structures O(cone), so an
-//! incremental timing loop never pays an O(netlist) rebuild for its
-//! compiled view either.
+//! through [`CompiledNetlist::patch`]. This is the one incremental
+//! structure of the workspace: `camsoc_sta::IncrementalSta` walks a
+//! patched snapshot, so an ECO timing loop never recompiles. A patch
+//! replays fanout rows per journal entry and recomputes levels over the
+//! edit's combinational fanout cone, then re-sorts the `(level, id)`
+//! order with a linear counting sort over the instances — O(edit + cone)
+//! bookkeeping plus one O(instances) pass over flat arrays, not a
+//! rebuild.
 //!
 //! ```
 //! use camsoc_netlist::builder::NetlistBuilder;
@@ -49,6 +53,8 @@
 //! ```
 
 use std::cell::Cell as CounterCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::cell::{Cell, CellFunction, Drive};
 use crate::eco::{ConnectivityEdit, EditDelta};
@@ -772,10 +778,9 @@ impl CompiledNetlist {
 
     /// Replay an [`EditDelta`] connectivity journal against this
     /// snapshot so it matches `nl`, the netlist *after* the journaled
-    /// edits — the compiled-core counterpart of
-    /// [`EditDelta::patch_fanout`], with the same validate-then-replay
-    /// discipline and the same contract: `None` means the journal does
-    /// not explain the edit (stale snapshot, foreign netlist,
+    /// edits. Every id is validated before anything is mutated, so the
+    /// common failure modes reject cleanly. `None` means the journal
+    /// does not explain the edit (stale snapshot, foreign netlist,
     /// out-of-chronology merge, a sequential/combinational flip the
     /// journal cannot express, or a cycle introduced by the edit); the
     /// snapshot may then be partially patched and must be rebuilt with
@@ -784,8 +789,8 @@ impl CompiledNetlist {
     /// On success the snapshot equals `nl.compile()` (asserted over the
     /// full 29-change paper ECO history in `tests/compiled_netlist.rs`)
     /// and the returned [`PatchStats`] stay proportional to the edit
-    /// cone, which is what lets an incremental timing loop keep a
-    /// compiled view warm without O(netlist) rebuilds.
+    /// cone. The `(level, id)` order is then re-sorted by a counting
+    /// sort, one linear pass over the instance table.
     ///
     /// ```
     /// use camsoc_netlist::builder::NetlistBuilder;
@@ -967,38 +972,31 @@ impl CompiledNetlist {
     /// Worklist level repair: seed every combinational instance the
     /// delta touches (directly, or as a reader of a touched net),
     /// recompute each from its fanins, and propagate through
-    /// combinational fanout while levels keep changing. On a DAG this
+    /// combinational fanout while levels keep changing. The worklist
+    /// pops the lowest `(level, id)` first, so a gate is normally
+    /// recomputed after the drivers that move it (a new instance enters
+    /// at level 0 and settles before its readers). On a DAG this
     /// converges to the unique fixed point — exactly the levels a fresh
     /// compile computes; a level exceeding the instance count proves
     /// the edit introduced a cycle.
     fn repair_levels(&mut self, delta: &EditDelta, stats: &mut PatchStats) -> Option<()> {
         let n_inst = self.cell.len();
         let mut queued = vec![false; n_inst];
-        let mut stack: Vec<u32> = Vec::new();
-        for &inst in &delta.instances {
-            if !self.cell[inst.index()].function.is_sequential() && !queued[inst.index()]
-            {
-                queued[inst.index()] = true;
-                stack.push(inst.0);
-            }
-        }
+        let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
+        let mut seeds: Vec<u32> = delta.instances.iter().map(|i| i.0).collect();
         for &net in &delta.nets {
             if net.index() >= self.num_nets {
                 return None;
             }
-            let (start, len) = self.fanout_row[net.index()];
-            for k in start..start + len {
-                let (g, pin) = self.fanout_arena[k as usize];
-                if pin != CLOCK_PIN
-                    && !self.cell[g as usize].function.is_sequential()
-                    && !queued[g as usize]
-                {
-                    queued[g as usize] = true;
-                    stack.push(g);
-                }
+            seeds.extend(self.fanout(net).iter().filter(|e| e.1 != CLOCK_PIN).map(|e| e.0));
+        }
+        for g in seeds {
+            if !self.cell[g as usize].function.is_sequential() && !queued[g as usize] {
+                queued[g as usize] = true;
+                heap.push(Reverse((self.level[g as usize], g)));
             }
         }
-        while let Some(g) = stack.pop() {
+        while let Some(Reverse((_, g))) = heap.pop() {
             let gi = g as usize;
             queued[gi] = false;
             stats.levels_recomputed += 1;
@@ -1017,15 +1015,11 @@ impl CompiledNetlist {
             }
             if fresh != self.level[gi] {
                 self.level[gi] = fresh;
-                let (start, len) = self.fanout_row[self.output[gi] as usize];
-                for k in start..start + len {
-                    let (r, pin) = self.fanout_arena[k as usize];
-                    if pin != CLOCK_PIN
-                        && !self.cell[r as usize].function.is_sequential()
-                        && !queued[r as usize]
-                    {
-                        queued[r as usize] = true;
-                        stack.push(r);
+                for &(r, pin) in self.fanout(NetId(self.output[gi])) {
+                    let ri = r as usize;
+                    if pin != CLOCK_PIN && !self.cell[ri].function.is_sequential() && !queued[ri] {
+                        queued[ri] = true;
+                        heap.push(Reverse((self.level[ri], r)));
                     }
                 }
             }

@@ -47,19 +47,6 @@ pub enum SinkKey {
     MacroIn(String, usize),
 }
 
-/// Which data structure the traversal phases of an equivalence check
-/// walk. Both engines are bit-identical by construction; the graph
-/// engine is kept as the pointer-chasing reference the compiled engine
-/// is validated against (and benchmarked against in `perf_report`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EquivEngine {
-    /// Walk the [`CompiledNetlist`] SoA/CSR snapshot (default).
-    #[default]
-    Compiled,
-    /// Walk the [`Netlist`] graph directly.
-    Graph,
-}
-
 /// The combinational view of a netlist: sources, sinks, a topological
 /// evaluation order and a compiled SoA snapshot, ready for bit-parallel
 /// simulation.
@@ -179,15 +166,6 @@ impl<'a> CombModel<'a> {
         values
     }
 
-    /// Dispatch [`CombModel::eval`] / [`CombModel::eval_graph`] on an
-    /// [`EquivEngine`] selector.
-    pub fn eval_with(&self, engine: EquivEngine, assign: &[u64]) -> Vec<u64> {
-        match engine {
-            EquivEngine::Compiled => self.eval(assign),
-            EquivEngine::Graph => self.eval_graph(assign),
-        }
-    }
-
     /// Sink values extracted from a full net-value vector, in
     /// [`CombModel::sinks`] iteration order.
     pub fn sink_values(&self, values: &[u64]) -> Vec<u64> {
@@ -284,30 +262,6 @@ impl<'a> CombModel<'a> {
         let mut v: Vec<usize> = support.into_iter().collect();
         v.sort_unstable();
         v
-    }
-
-    /// Dispatch [`CombModel::cone_support`] /
-    /// [`CombModel::cone_support_graph`] on an [`EquivEngine`] selector.
-    pub fn cone_support_with(&self, engine: EquivEngine, sink_net: NetId) -> Vec<usize> {
-        match engine {
-            EquivEngine::Compiled => self.cone_support(sink_net),
-            EquivEngine::Graph => self.cone_support_graph(sink_net),
-        }
-    }
-
-    /// [`CombModel::cone_support_with`] routed through a caller-owned
-    /// [`ConeScratch`] on the compiled engine. The graph engine is the
-    /// per-call-allocating reference and ignores the scratch.
-    pub fn cone_support_with_scratch(
-        &self,
-        engine: EquivEngine,
-        sink_net: NetId,
-        scratch: &mut ConeScratch,
-    ) -> Vec<usize> {
-        match engine {
-            EquivEngine::Compiled => self.cone_support_scratch(sink_net, scratch),
-            EquivEngine::Graph => self.cone_support_graph(sink_net),
-        }
     }
 }
 
@@ -572,10 +526,6 @@ pub struct EquivOptions {
     /// all report counters are bit-identical to `Serial` (the first
     /// mismatch in round/sink order always wins).
     pub parallelism: Parallelism,
-    /// Traversal engine for simulation and cone extraction. Both
-    /// produce bit-identical reports; `Graph` exists as the reference
-    /// to validate/benchmark `Compiled` against.
-    pub engine: EquivEngine,
 }
 
 impl Default for EquivOptions {
@@ -586,7 +536,6 @@ impl Default for EquivOptions {
             bdd_node_limit: 200_000,
             seed: 0xEC0,
             parallelism: Parallelism::Serial,
-            engine: EquivEngine::Compiled,
         }
     }
 }
@@ -715,8 +664,8 @@ pub fn check_equivalence(
         .map(|_| (0..nsrc).map(|_| rng.next_u64()).collect())
         .collect();
     let mismatch = camsoc_par::find_first(options.parallelism, assigns.len(), |round| {
-        let va = ma.eval_with(options.engine, &assigns[round]);
-        let vb = mb.eval_with(options.engine, &assigns[round]);
+        let va = ma.eval(&assigns[round]);
+        let vb = mb.eval(&assigns[round]);
         let sa = ma.sink_values(&va);
         let sb = mb.sink_values(&vb);
         (0..nsink).find(|&i| sa[i] != sb[i])
@@ -758,8 +707,8 @@ pub fn check_equivalence(
         let (sup_a, sup_b) = SCRATCH.with(|s| {
             let scratch = &mut *s.borrow_mut();
             (
-                ma.cone_support_with_scratch(options.engine, net_a, scratch),
-                mb.cone_support_with_scratch(options.engine, net_b, scratch),
+                ma.cone_support_scratch(net_a, scratch),
+                mb.cone_support_scratch(net_b, scratch),
             )
         });
         // union support under same variable indices (source order shared)

@@ -1,25 +1,32 @@
 //! Arrival/required propagation, setup & hold checks, slack reporting.
 //!
-//! Graph-based STA in the classic form: launch points are primary inputs
-//! (at their external input delay), flip-flop Q pins (at clock latency +
+//! Classic block-based STA: launch points are primary inputs (at their
+//! external input delay), flip-flop Q pins (at clock latency +
 //! clock-to-Q) and macro output pins; capture points are flip-flop data
 //! pins (setup against the capture clock period), macro input pins and
 //! primary outputs. Max arrivals feed setup checks, min arrivals feed
 //! hold checks; both are derated by the active [`Corner`].
 //!
+//! Every traversal walks a [`CompiledNetlist`] snapshot: the forward
+//! and backward passes read its flat fanin/fanout arrays in its `(level,
+//! id)` topological order. The graph is consulted only to enumerate
+//! launch and capture points and to name things in reports.
+//!
 //! The analysis is split into two phases so the incremental engine in
 //! [`crate::incremental`] can reuse them:
 //!
-//! 1. [`Sta::annotate`] — the expensive graph pass. Propagates max/min
-//!    arrivals forward in levelized (topological) order and setup
-//!    required times backward, producing an [`Annotation`] with per-net
-//!    timing state and an evaluation counter.
+//! 1. [`Sta::annotate`] — compile the netlist, then the expensive pass:
+//!    propagate max/min arrivals forward and setup required times
+//!    backward, producing an [`Annotation`] with per-net timing state
+//!    and an evaluation counter.
 //! 2. [`Sta::report_from`] — the cheap summarization. Walks every
 //!    endpoint, accumulates WNS/TNS, and backtraces the critical path.
 //!    It performs no delay evaluation, so re-running it after a partial
 //!    re-annotation is bit-identical to a from-scratch analysis.
 //!
-//! [`Sta::analyze`] is simply `annotate` followed by `report_from`.
+//! [`Sta::analyze`] is simply `annotate` followed by `report_from`;
+//! [`Sta::analyze_compiled`] skips the compile for a caller that already
+//! holds a snapshot.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -117,7 +124,7 @@ impl TimingReport {
     }
 }
 
-/// Per-net timing state produced by [`Sta::annotate`] — the levelized
+/// Per-net timing state produced by [`Sta::annotate`] — the
 /// arrival/required annotation an incremental update keeps alive between
 /// edits.
 ///
@@ -138,14 +145,12 @@ pub struct Annotation {
     pub(crate) pred: Vec<Option<(InstanceId, NetId)>>,
     /// Launch-point label per net (set only at timing startpoints).
     pub(crate) start_label: Vec<Option<String>>,
-    /// Levelized evaluation order of the combinational instances.
-    pub(crate) order: Vec<InstanceId>,
     /// Capture-clock period per flip-flop.
     pub(crate) flop_clock: HashMap<InstanceId, f64>,
     /// Fallback clock period for endpoints without a traced clock.
     pub(crate) default_period: f64,
-    /// Graph evaluations performed to produce this annotation (forward
-    /// gate evaluations plus backward required-time evaluations).
+    /// Evaluations performed to produce this annotation (forward gate
+    /// evaluations plus backward required-time evaluations).
     pub(crate) evaluated: usize,
 }
 
@@ -175,13 +180,7 @@ impl Annotation {
         Some(self.required_max(net)? - self.arrival_max(net)?)
     }
 
-    /// The levelized (topological) order the combinational instances
-    /// were evaluated in.
-    pub fn topo_order(&self) -> &[InstanceId] {
-        &self.order
-    }
-
-    /// Graph evaluations (forward gate + backward required-time) that
+    /// Evaluations (forward gate + backward required-time) that
     /// produced this annotation.
     pub fn evaluated(&self) -> usize {
         self.evaluated
@@ -276,19 +275,19 @@ impl<'a> Sta<'a> {
         }
     }
 
-    /// Stage delay of `inst` driving its output net under the late
+    /// Stage delay of `id` driving its output net under the late
     /// (setup-launch) derate: cell delay plus wire delay.
-    pub(crate) fn late_delay(&self, id: InstanceId, fanout_out: usize) -> f64 {
-        let inst = self.nl.instance(id);
-        self.tech.cell_delay_ns(inst.cell, fanout_out) * self.corner.late
-            + self.wire_delay(inst.output, fanout_out) * self.corner.late
+    pub(crate) fn late_delay(&self, cn: &CompiledNetlist, id: InstanceId) -> f64 {
+        let fanout_out = cn.fanout_count(cn.output(id));
+        self.tech.cell_delay_ns(cn.cell(id), fanout_out) * self.corner.late
+            + self.wire_delay(cn.output(id), fanout_out) * self.corner.late
     }
 
-    /// Stage delay of `inst` under the early (hold-launch) derate.
-    pub(crate) fn early_delay(&self, id: InstanceId, fanout_out: usize) -> f64 {
-        let inst = self.nl.instance(id);
-        self.tech.cell_delay_ns(inst.cell, fanout_out) * self.corner.early
-            + self.wire_delay(inst.output, fanout_out) * self.corner.early
+    /// Stage delay of `id` under the early (hold-launch) derate.
+    pub(crate) fn early_delay(&self, cn: &CompiledNetlist, id: InstanceId) -> f64 {
+        let fanout_out = cn.fanout_count(cn.output(id));
+        self.tech.cell_delay_ns(cn.cell(id), fanout_out) * self.corner.early
+            + self.wire_delay(cn.output(id), fanout_out) * self.corner.early
     }
 
     /// Map from clock-port net to clock definition.
@@ -444,45 +443,41 @@ impl<'a> Sta<'a> {
 
     /// Evaluate one combinational gate: recompute the max/min arrival
     /// and critical predecessor of its output net from its inputs.
-    /// Returns `false` (no evaluation) for tie cells.
+    /// The fanin fold walks the CSR row in pin order, so the strict-`>`
+    /// max tie-break is first-pin-wins. Returns `false` (no evaluation)
+    /// for tie cells.
     pub(crate) fn eval_forward(
         &self,
+        cn: &CompiledNetlist,
         id: InstanceId,
-        fanout: &[usize],
         at_max: &mut [f64],
         at_min: &mut [f64],
         pred: &mut [Option<(InstanceId, NetId)>],
     ) -> bool {
-        let inst = self.nl.instance(id);
-        if inst.function().is_tie() {
+        if cn.function(id).is_tie() {
             return false; // constants do not launch timing
         }
-        let out = inst.output;
-        let o = out.index();
+        let o = cn.output(id).index();
         at_max[o] = NEG;
         at_min[o] = POS;
         pred[o] = None;
-        let cell_late = self.late_delay(id, fanout[o]);
-        let cell_early = self.early_delay(id, fanout[o]);
         let mut best_max = NEG;
         let mut best_net = None;
         let mut best_min = POS;
-        for &i in &inst.inputs {
-            if at_max[i.index()] > best_max {
-                best_max = at_max[i.index()];
-                best_net = Some(i);
+        for &raw in cn.fanin(id) {
+            let i = raw as usize;
+            if at_max[i] > best_max {
+                best_max = at_max[i];
+                best_net = Some(NetId(raw));
             }
-            best_min = best_min.min(at_min[i.index()]);
+            best_min = best_min.min(at_min[i]);
         }
         if best_max > NEG {
-            let v = best_max + cell_late;
-            if v > at_max[o] {
-                at_max[o] = v;
-                pred[o] = Some((id, best_net.expect("max input")));
-            }
+            at_max[o] = best_max + self.late_delay(cn, id);
+            pred[o] = Some((id, best_net.expect("max input")));
         }
         if best_min < POS {
-            at_min[o] = at_min[o].min(best_min + cell_early);
+            at_min[o] = best_min + self.early_delay(cn, id);
         }
         true
     }
@@ -558,25 +553,21 @@ impl<'a> Sta<'a> {
     }
 
     /// Recompute the endpoint requirement of a single net from its
-    /// current flop readers (via the fanout map) on top of its static
-    /// macro/port constraint. Bit-identical to the `net` entry of
-    /// [`Sta::endpoint_required`].
+    /// current flop readers on top of its static macro/port constraint.
+    /// Bit-identical to the `net` entry of [`Sta::endpoint_required`].
     pub(crate) fn endpoint_required_for(
         &self,
+        cn: &CompiledNetlist,
         net: NetId,
         static_req: f64,
-        fanout_map: &[Vec<(InstanceId, usize)>],
         flop_clock: &HashMap<InstanceId, f64>,
         default_period: f64,
     ) -> f64 {
         let mut req = static_req;
-        for &(reader, pin) in &fanout_map[net.index()] {
-            if pin == usize::MAX {
-                continue; // clock pin: not a data endpoint
-            }
-            let inst = self.nl.instance(reader);
-            if !inst.function().is_flop() {
-                continue;
+        for &(reader, pin) in cn.fanout(net) {
+            let reader = InstanceId(reader);
+            if pin == CLOCK_PIN || !cn.function(reader).is_flop() {
+                continue; // clock pins and gate inputs are not data endpoints
             }
             let period = flop_clock.get(&reader).copied().unwrap_or(default_period);
             let lat = *self.clock_latency_ns.get(&reader).unwrap_or(&0.0);
@@ -588,242 +579,10 @@ impl<'a> Sta<'a> {
     /// Recompute the setup required time of `net`: the minimum of its
     /// direct endpoint constraint and, for each combinational reader,
     /// the reader's output required time minus the reader's stage
-    /// delay. Readers are folded in fanout-map order so the result is
-    /// bit-reproducible regardless of which cone triggered the
-    /// recomputation.
+    /// delay. The fold is a pure `min` over finite values, so the fanout
+    /// row's entry order (which [`CompiledNetlist::patch`] may permute
+    /// relative to a fresh compile) cannot change the result.
     pub(crate) fn eval_required(
-        &self,
-        net: NetId,
-        fanout_map: &[Vec<(InstanceId, usize)>],
-        fanout: &[usize],
-        endpoint_req: &[f64],
-        req_max: &[f64],
-    ) -> f64 {
-        let mut req = endpoint_req[net.index()];
-        for &(reader, pin) in &fanout_map[net.index()] {
-            if pin == usize::MAX {
-                continue; // clock pin
-            }
-            let inst = self.nl.instance(reader);
-            if inst.function().is_sequential() || inst.function().is_tie() {
-                continue; // flop data pins are endpoints, not propagation
-            }
-            let out = inst.output.index();
-            if req_max[out] == POS {
-                continue;
-            }
-            req = req.min(req_max[out] - self.late_delay(reader, fanout[out]));
-        }
-        req
-    }
-
-    /// Run the full annotation pass: levelize, seed launch points,
-    /// propagate arrivals forward and setup required times backward.
-    ///
-    /// # Errors
-    ///
-    /// [`StaError::NoClock`] for sequential designs without clocks,
-    /// [`StaError::UnclockedFlop`] for unreachable clock pins,
-    /// [`StaError::CombinationalCycle`] for loops.
-    pub fn annotate(&self) -> Result<Annotation, StaError> {
-        let order = self.levelize()?;
-        let flop_clock = self.flop_clock_map()?;
-        Ok(self.annotate_with(order, flop_clock))
-    }
-
-    /// Levelize the combinational graph — the corner-independent (and
-    /// fallible) half of [`Sta::annotate`], split out so a multi-corner
-    /// fan-out computes it once and shares it across corners.
-    pub(crate) fn levelize(&self) -> Result<Vec<InstanceId>, StaError> {
-        self.nl.combinational_topo_order().map_err(|e| match e {
-            NetlistError::CombinationalCycle { net } => StaError::CombinationalCycle(net),
-            other => StaError::CombinationalCycle(other.to_string()),
-        })
-    }
-
-    /// The annotation pass proper, against a precomputed levelization
-    /// and flop-clock map (both corner-independent). Infallible: every
-    /// error [`Sta::annotate`] can raise comes from deriving those two
-    /// inputs.
-    pub(crate) fn annotate_with(
-        &self,
-        order: Vec<InstanceId>,
-        flop_clock: HashMap<InstanceId, f64>,
-    ) -> Annotation {
-        let fanout = self.nl.fanout_counts();
-        let default_period = self
-            .constraints
-            .fastest_clock()
-            .map(|c| c.period_ns)
-            .unwrap_or(POS);
-
-        let n = self.nl.num_nets();
-        let mut at_max = vec![NEG; n];
-        let mut at_min = vec![POS; n];
-        let mut pred: Vec<Option<(InstanceId, NetId)>> = vec![None; n];
-        let mut start_label: Vec<Option<String>> = vec![None; n];
-
-        // Launch points.
-        let io_reference_ns = self.io_reference_ns();
-        let clock_ports = self.clock_port_nets();
-        for (_, port) in self.nl.input_ports() {
-            self.seed_net(
-                port.net,
-                &clock_ports,
-                io_reference_ns,
-                &mut at_max,
-                &mut at_min,
-                &mut pred,
-                &mut start_label,
-            );
-        }
-        for (id, _) in self.nl.flops() {
-            let q = self.nl.instance(id).output;
-            self.seed_net(
-                q,
-                &clock_ports,
-                io_reference_ns,
-                &mut at_max,
-                &mut at_min,
-                &mut pred,
-                &mut start_label,
-            );
-        }
-        for (_, m) in self.nl.macros() {
-            for &out in &m.outputs {
-                self.seed_net(
-                    out,
-                    &clock_ports,
-                    io_reference_ns,
-                    &mut at_max,
-                    &mut at_min,
-                    &mut pred,
-                    &mut start_label,
-                );
-            }
-        }
-
-        // Forward: propagate arrivals through combinational gates.
-        let mut evaluated = 0usize;
-        for &id in &order {
-            if self.eval_forward(id, &fanout, &mut at_max, &mut at_min, &mut pred) {
-                evaluated += 1;
-            }
-        }
-
-        // Backward: propagate setup required times against the same
-        // levelization. A gate's output is finalized before its input
-        // drivers are visited, so each net is evaluated exactly once.
-        let fanout_map = self.nl.fanout_map();
-        let endpoint_req = self.endpoint_required(&flop_clock, default_period);
-        let mut req_max = vec![POS; n];
-        let mut req_done = vec![false; n];
-        for &id in order.iter().rev() {
-            let out = self.nl.instance(id).output;
-            req_max[out.index()] =
-                self.eval_required(out, &fanout_map, &fanout, &endpoint_req, &req_max);
-            req_done[out.index()] = true;
-            evaluated += 1;
-        }
-        for i in 0..n {
-            if !req_done[i] {
-                let net = NetId(i as u32);
-                req_max[i] =
-                    self.eval_required(net, &fanout_map, &fanout, &endpoint_req, &req_max);
-                evaluated += 1;
-            }
-        }
-
-        Annotation {
-            at_max,
-            at_min,
-            req_max,
-            pred,
-            start_label,
-            order,
-            flop_clock,
-            default_period,
-            evaluated,
-        }
-    }
-
-    /// Compile the netlist into its SoA snapshot, mapping the only
-    /// failure ([`NetlistError::CombinationalCycle`]) onto the same
-    /// [`StaError`] that [`Sta::levelize`] raises — so callers can swap
-    /// one for the other without changing their error handling.
-    pub(crate) fn compile_netlist(&self) -> Result<CompiledNetlist, StaError> {
-        self.nl.compile().map_err(|e| match e {
-            NetlistError::CombinationalCycle { net } => StaError::CombinationalCycle(net),
-            other => StaError::CombinationalCycle(other.to_string()),
-        })
-    }
-
-    /// [`Sta::late_delay`] reading the compiled per-instance table
-    /// instead of the graph — same cell, same output net, bit-identical
-    /// arithmetic.
-    fn late_delay_compiled(&self, cn: &CompiledNetlist, id: InstanceId, fanout_out: usize) -> f64 {
-        self.tech.cell_delay_ns(cn.cell(id), fanout_out) * self.corner.late
-            + self.wire_delay(cn.output(id), fanout_out) * self.corner.late
-    }
-
-    /// [`Sta::early_delay`] against the compiled per-instance table.
-    fn early_delay_compiled(&self, cn: &CompiledNetlist, id: InstanceId, fanout_out: usize) -> f64 {
-        self.tech.cell_delay_ns(cn.cell(id), fanout_out) * self.corner.early
-            + self.wire_delay(cn.output(id), fanout_out) * self.corner.early
-    }
-
-    /// [`Sta::eval_forward`] against the compiled core: the fanin fold
-    /// walks the CSR row (same pin order, so the strict-`>` first-wins
-    /// max tie-break is unchanged) and the fanout count comes from the
-    /// dense table instead of a precomputed vector.
-    fn eval_forward_compiled(
-        &self,
-        cn: &CompiledNetlist,
-        id: InstanceId,
-        at_max: &mut [f64],
-        at_min: &mut [f64],
-        pred: &mut [Option<(InstanceId, NetId)>],
-    ) -> bool {
-        if cn.function(id).is_tie() {
-            return false; // constants do not launch timing
-        }
-        let out = cn.output(id);
-        let o = out.index();
-        at_max[o] = NEG;
-        at_min[o] = POS;
-        pred[o] = None;
-        let fo = cn.fanout_count(out);
-        let cell_late = self.late_delay_compiled(cn, id, fo);
-        let cell_early = self.early_delay_compiled(cn, id, fo);
-        let mut best_max = NEG;
-        let mut best_net = None;
-        let mut best_min = POS;
-        for &raw in cn.fanin(id) {
-            let i = raw as usize;
-            if at_max[i] > best_max {
-                best_max = at_max[i];
-                best_net = Some(NetId(raw));
-            }
-            best_min = best_min.min(at_min[i]);
-        }
-        if best_max > NEG {
-            let v = best_max + cell_late;
-            if v > at_max[o] {
-                at_max[o] = v;
-                pred[o] = Some((id, best_net.expect("max input")));
-            }
-        }
-        if best_min < POS {
-            at_min[o] = at_min[o].min(best_min + cell_early);
-        }
-        true
-    }
-
-    /// [`Sta::eval_required`] against the compiled CSR fanout row. The
-    /// fold is a pure `min` over finite values, so the row's entry
-    /// order (which a [`CompiledNetlist::patch`] may permute relative
-    /// to a fresh compile) cannot change the result.
-    fn eval_required_compiled(
         &self,
         cn: &CompiledNetlist,
         net: NetId,
@@ -832,59 +591,83 @@ impl<'a> Sta<'a> {
     ) -> f64 {
         let mut req = endpoint_req[net.index()];
         for &(reader, pin) in cn.fanout(net) {
-            if pin == CLOCK_PIN {
-                continue; // clock pin
-            }
             let reader = InstanceId(reader);
             let f = cn.function(reader);
-            if f.is_sequential() || f.is_tie() {
+            if pin == CLOCK_PIN || f.is_sequential() || f.is_tie() {
                 continue; // flop data pins are endpoints, not propagation
             }
             let o = cn.output(reader).index();
             if req_max[o] == POS {
                 continue;
             }
-            req = req.min(req_max[o] - self.late_delay_compiled(cn, reader, cn.fanout_count(cn.output(reader))));
+            req = req.min(req_max[o] - self.late_delay(cn, reader));
         }
         req
     }
 
-    /// [`Sta::annotate_with`] against a [`CompiledNetlist`]: identical
-    /// seeding (launch points still come from the graph — they are
-    /// endpoint iterations, not traversal), but the forward and
-    /// backward passes walk the snapshot's flat arrays in its `(level,
-    /// id)` topological order.
+    /// Run the full annotation pass: compile the netlist, seed launch
+    /// points, propagate arrivals forward and setup required times
+    /// backward.
     ///
-    /// Bit-identical to the graph pass even though the order differs
-    /// from [`Sta::levelize`]'s Kahn order: every net is written
-    /// exactly once, after all of its fanins (forward) or readers
-    /// (backward) are final, so any valid topological order produces
-    /// the same values; the per-gate folds themselves are
-    /// order-preserving (fanin pin order) or order-insensitive (`min`).
-    /// [`Annotation::order`] records the compiled order actually used.
-    pub(crate) fn annotate_with_compiled(
+    /// # Errors
+    ///
+    /// [`StaError::CombinationalCycle`] for loops (checked first, by
+    /// compiling), then [`StaError::NoClock`] for sequential designs
+    /// without clocks and [`StaError::UnclockedFlop`] for unreachable
+    /// clock pins.
+    pub fn annotate(&self) -> Result<Annotation, StaError> {
+        let cn = self.compile_netlist()?;
+        let flop_clock = self.flop_clock_map()?;
+        Ok(self.annotate_with(&cn, flop_clock))
+    }
+
+    /// Compile the netlist into its SoA snapshot, mapping the only
+    /// failure ([`NetlistError::CombinationalCycle`]) onto
+    /// [`StaError::CombinationalCycle`].
+    pub(crate) fn compile_netlist(&self) -> Result<CompiledNetlist, StaError> {
+        self.nl.compile().map_err(|e| match e {
+            NetlistError::CombinationalCycle { net } => StaError::CombinationalCycle(net),
+            other => StaError::CombinationalCycle(other.to_string()),
+        })
+    }
+
+    /// Every timing launch net: input ports, flop outputs and macro
+    /// outputs, in that order. [`Sta::seed_net`] decides what each one
+    /// launches (clock ports, for one, launch nothing).
+    fn launch_nets(&self) -> impl Iterator<Item = NetId> + '_ {
+        let ports = self.nl.input_ports().map(|(_, p)| p.net);
+        let flops = self.nl.flops().map(|(_, inst)| inst.output);
+        let macros = self.nl.macros().flat_map(|(_, m)| m.outputs.iter().copied());
+        ports.chain(flops).chain(macros)
+    }
+
+    /// The annotation pass proper, against a snapshot of this netlist
+    /// and a precomputed flop-clock map (both corner-independent, and
+    /// the source of every error [`Sta::annotate`] can raise).
+    ///
+    /// The forward pass walks the snapshot's `(level, id)` order and the
+    /// backward pass the reverse of it, then every net no gate drives,
+    /// in index order. Every net is written exactly once, after all of
+    /// its fanins (forward) or readers (backward) are final, so any
+    /// valid topological order produces the same values — which is what
+    /// lets the incremental engine re-evaluate a cone in its own order.
+    pub(crate) fn annotate_with(
         &self,
         cn: &CompiledNetlist,
         flop_clock: HashMap<InstanceId, f64>,
     ) -> Annotation {
-        let default_period = self
-            .constraints
-            .fastest_clock()
-            .map(|c| c.period_ns)
-            .unwrap_or(POS);
-
+        let default_period = self.default_period();
         let n = self.nl.num_nets();
         let mut at_max = vec![NEG; n];
         let mut at_min = vec![POS; n];
         let mut pred: Vec<Option<(InstanceId, NetId)>> = vec![None; n];
         let mut start_label: Vec<Option<String>> = vec![None; n];
 
-        // Launch points (same loops as `annotate_with`).
         let io_reference_ns = self.io_reference_ns();
         let clock_ports = self.clock_port_nets();
-        for (_, port) in self.nl.input_ports() {
+        for net in self.launch_nets() {
             self.seed_net(
-                port.net,
+                net,
                 &clock_ports,
                 io_reference_ns,
                 &mut at_max,
@@ -892,58 +675,29 @@ impl<'a> Sta<'a> {
                 &mut pred,
                 &mut start_label,
             );
-        }
-        for (id, _) in self.nl.flops() {
-            let q = self.nl.instance(id).output;
-            self.seed_net(
-                q,
-                &clock_ports,
-                io_reference_ns,
-                &mut at_max,
-                &mut at_min,
-                &mut pred,
-                &mut start_label,
-            );
-        }
-        for (_, m) in self.nl.macros() {
-            for &out in &m.outputs {
-                self.seed_net(
-                    out,
-                    &clock_ports,
-                    io_reference_ns,
-                    &mut at_max,
-                    &mut at_min,
-                    &mut pred,
-                    &mut start_label,
-                );
-            }
         }
 
-        // Forward: propagate arrivals through combinational gates.
         let mut evaluated = 0usize;
         for &id in cn.topo_order() {
-            if self.eval_forward_compiled(cn, id, &mut at_max, &mut at_min, &mut pred) {
+            if self.eval_forward(cn, id, &mut at_max, &mut at_min, &mut pred) {
                 evaluated += 1;
             }
         }
 
-        // Backward: setup required times against the reversed order.
         let endpoint_req = self.endpoint_required(&flop_clock, default_period);
         let mut req_max = vec![POS; n];
         let mut req_done = vec![false; n];
         for &id in cn.topo_order().iter().rev() {
             let out = cn.output(id);
-            req_max[out.index()] = self.eval_required_compiled(cn, out, &endpoint_req, &req_max);
+            req_max[out.index()] = self.eval_required(cn, out, &endpoint_req, &req_max);
             req_done[out.index()] = true;
-            evaluated += 1;
         }
         for i in 0..n {
             if !req_done[i] {
-                let net = NetId(i as u32);
-                req_max[i] = self.eval_required_compiled(cn, net, &endpoint_req, &req_max);
-                evaluated += 1;
+                req_max[i] = self.eval_required(cn, NetId(i as u32), &endpoint_req, &req_max);
             }
         }
+        evaluated += n;
 
         Annotation {
             at_max,
@@ -951,17 +705,20 @@ impl<'a> Sta<'a> {
             req_max,
             pred,
             start_label,
-            order: cn.topo_order().to_vec(),
             flop_clock,
             default_period,
             evaluated,
         }
     }
 
-    /// Run the full analysis against a precompiled SoA snapshot of the
-    /// same netlist: [`Sta::analyze`] with the forward/backward passes
-    /// walking [`CompiledNetlist`] flat arrays instead of the graph.
-    /// The [`TimingReport`] is bit-identical to [`Sta::analyze`]'s.
+    /// The fastest declared clock's period: the capture period of every
+    /// endpoint without a traced clock (`+inf` with no clocks at all).
+    pub(crate) fn default_period(&self) -> f64 {
+        self.constraints.fastest_clock().map_or(POS, |c| c.period_ns)
+    }
+
+    /// [`Sta::analyze`] against a snapshot of this netlist the caller
+    /// already holds, skipping the compile.
     ///
     /// # Errors
     ///
@@ -970,7 +727,7 @@ impl<'a> Sta<'a> {
     /// combinational cycle is caught earlier, by compiling.)
     pub fn analyze_compiled(&self, cn: &CompiledNetlist) -> Result<TimingReport, StaError> {
         let flop_clock = self.flop_clock_map()?;
-        let ann = self.annotate_with_compiled(cn, flop_clock);
+        let ann = self.annotate_with(cn, flop_clock);
         Ok(self.report_from(&ann))
     }
 
@@ -1429,16 +1186,16 @@ mod tests {
             "per-net slack {slack} vs path {}",
             path.slack_ns
         );
-        // topo order covers the whole chain, front to back
-        assert_eq!(ann.topo_order().len(), 10);
         // arrivals increase and required times increase walking the chain
-        let ats: Vec<f64> = ann
+        let cn = nl.compile().unwrap();
+        assert_eq!(cn.topo_order().len(), 10);
+        let ats: Vec<f64> = cn
             .topo_order()
             .iter()
             .map(|&id| ann.arrival_max(nl.instance(id).output).unwrap())
             .collect();
         assert!(ats.windows(2).all(|w| w[1] > w[0]), "{ats:?}");
-        let reqs: Vec<f64> = ann
+        let reqs: Vec<f64> = cn
             .topo_order()
             .iter()
             .map(|&id| ann.required_max(nl.instance(id).output).unwrap())
@@ -1446,6 +1203,157 @@ mod tests {
         assert!(reqs.windows(2).all(|w| w[1] > w[0]), "{reqs:?}");
         // evaluations: 10 forward + one required eval per net
         assert_eq!(ann.evaluated(), 10 + nl.num_nets());
+    }
+
+    #[test]
+    fn cycle_error_comes_before_clock_errors() {
+        // a loop in a design with no clock: compiling reports the loop
+        // before the missing clock is noticed
+        let mut b = NetlistBuilder::new("loop");
+        let clk = b.input("clk");
+        let d = b.input("d");
+        let q = b.dff("u_ff", d, clk);
+        let x = b.gate_auto(CellFunction::Nand2, &[q, q]);
+        b.output("y", x);
+        let nl = b.finish();
+        let mut eco = camsoc_netlist::eco::EcoSession::new(nl);
+        let Some(NetDriver::Instance(g)) = eco.netlist().net(x).driver else {
+            panic!("gate-driven net");
+        };
+        eco.rewire(g, 1, x).unwrap();
+        let (nl, _) = eco.finish();
+        let t = tech();
+        let r = Sta::new(&nl, &t, Constraints::default()).analyze();
+        assert!(matches!(r, Err(StaError::CombinationalCycle(_))), "{r:?}");
+    }
+
+    /// The graph-walking reference the snapshot passes are checked
+    /// against: Kahn levelization, [`Netlist::fanout_map`] and per-gate
+    /// folds over `Instance` structs. Naive on purpose.
+    fn graph_annotate(sta: &Sta<'_>) -> Annotation {
+        let nl = sta.nl;
+        let order = nl.combinational_topo_order().unwrap();
+        let flop_clock = sta.flop_clock_map().unwrap();
+        let default_period = sta.default_period();
+        let fanout = nl.fanout_counts();
+        let fanout_map = nl.fanout_map();
+        let delay = |id: InstanceId, derate: f64| {
+            let inst = nl.instance(id);
+            let fo = fanout[inst.output.index()];
+            sta.tech.cell_delay_ns(inst.cell, fo) * derate
+                + sta.wire_delay(inst.output, fo) * derate
+        };
+
+        let n = nl.num_nets();
+        let mut at_max = vec![NEG; n];
+        let mut at_min = vec![POS; n];
+        let mut pred = vec![None; n];
+        let mut start_label = vec![None; n];
+        let clock_ports = sta.clock_port_nets();
+        for net in sta.launch_nets() {
+            sta.seed_net(
+                net,
+                &clock_ports,
+                sta.io_reference_ns(),
+                &mut at_max,
+                &mut at_min,
+                &mut pred,
+                &mut start_label,
+            );
+        }
+
+        let mut evaluated = 0;
+        for &id in &order {
+            let inst = nl.instance(id);
+            if inst.function().is_tie() {
+                continue;
+            }
+            let o = inst.output.index();
+            let (mut best_max, mut best_net, mut best_min) = (NEG, None, POS);
+            for &i in &inst.inputs {
+                if at_max[i.index()] > best_max {
+                    best_max = at_max[i.index()];
+                    best_net = Some(i);
+                }
+                best_min = best_min.min(at_min[i.index()]);
+            }
+            at_max[o] = NEG;
+            at_min[o] = POS;
+            pred[o] = None;
+            if let Some(b) = best_net {
+                at_max[o] = best_max + delay(id, sta.corner.late);
+                pred[o] = Some((id, b));
+            }
+            if best_min < POS {
+                at_min[o] = best_min + delay(id, sta.corner.early);
+            }
+            evaluated += 1;
+        }
+
+        let endpoint_req = sta.endpoint_required(&flop_clock, default_period);
+        let required = |net: NetId, req_max: &[f64]| {
+            let mut req = endpoint_req[net.index()];
+            for &(reader, pin) in &fanout_map[net.index()] {
+                let f = nl.instance(reader).function();
+                let out = req_max[nl.instance(reader).output.index()];
+                if pin != usize::MAX && !f.is_sequential() && !f.is_tie() && out != POS {
+                    req = req.min(out - delay(reader, sta.corner.late));
+                }
+            }
+            req
+        };
+        let mut req_max = vec![POS; n];
+        let mut done = vec![false; n];
+        for &id in order.iter().rev() {
+            let out = nl.instance(id).output.index();
+            req_max[out] = required(NetId(out as u32), &req_max);
+            done[out] = true;
+        }
+        for i in 0..n {
+            if !done[i] {
+                req_max[i] = required(NetId(i as u32), &req_max);
+            }
+        }
+
+        Annotation {
+            at_max,
+            at_min,
+            req_max,
+            pred,
+            start_label,
+            flop_clock,
+            default_period,
+            evaluated: evaluated + n,
+        }
+    }
+
+    #[test]
+    fn sta_reports_on_compiled_core_match_graph_engine() {
+        let t = tech();
+        for seed in [9u64, 23] {
+            let nl = generate::ip_block(
+                "blk",
+                &generate::IpBlockParams { target_gates: 600, seed, ..Default::default() },
+            )
+            .unwrap();
+            let wires: Vec<f64> = (0..nl.num_nets()).map(|i| 0.002 * (i % 7) as f64).collect();
+            let latency: HashMap<InstanceId, f64> =
+                nl.flops().map(|(id, _)| (id, 0.01 * (id.index() % 5) as f64)).collect();
+            for corner in [Corner::typical(), Corner::worst(), Corner::best()] {
+                let estimated =
+                    Sta::new(&nl, &t, Constraints::single_clock("clk", 7.5)).with_corner(corner);
+                let extracted = Sta::new(&nl, &t, Constraints::single_clock("clk", 7.5))
+                    .with_corner(corner)
+                    .with_wire_delays(wires.clone())
+                    .with_clock_latency(latency.clone());
+                for sta in [estimated, extracted] {
+                    let ann = sta.annotate().unwrap();
+                    let oracle = graph_annotate(&sta);
+                    assert_eq!(ann, oracle, "seed {seed} corner {}", corner.name);
+                    assert_eq!(sta.analyze().unwrap(), sta.report_from(&oracle));
+                }
+            }
+        }
     }
 
     #[test]

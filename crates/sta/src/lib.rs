@@ -1,22 +1,26 @@
 //! # camsoc-sta
 //!
-//! Graph-based static timing analysis over the [`camsoc_netlist`] IR.
+//! Static timing analysis over the [`camsoc_netlist`] IR.
 //!
 //! The paper's physical flow signs off with "timing-driven placement and
 //! routing, physical synthesis, formal verification and STA QoR check",
 //! and three of its ECOs exist purely to fix setup/hold violations. This
 //! crate supplies that STA: single-cycle setup and hold checks against
 //! declared clocks, arrival/required propagation over the combinational
-//! graph, slack/WNS/TNS reporting, critical-path extraction, and corner
+//! logic, slack/WNS/TNS reporting, critical-path extraction, and corner
 //! derating — with wire delays either estimated from fanout or injected
 //! per-net by the layout crate's extractor.
 //!
-//! For ECO loops, [`IncrementalSta`] (module [`incremental`]) keeps the
-//! per-net annotation from a baseline analysis alive and re-times only
-//! the fanout/fanin cones of each edit, bit-identically to a full pass.
+//! There is one engine. Every pass walks a
+//! [`CompiledNetlist`](camsoc_netlist::compiled::CompiledNetlist)
+//! snapshot: [`Sta::analyze`] compiles the netlist and walks it once;
+//! [`IncrementalSta`] (module [`incremental`]) keeps a snapshot and its
+//! per-net annotation alive across ECO loops, patches the snapshot from
+//! each edit's journal and re-times only the fanout/fanin cones of the
+//! edit, bit-identically to a full pass.
 //!
 //! For sign-off, [`multi_corner`] fans N corner analyses over
-//! `camsoc-par` worker threads (sharing one levelization) and
+//! `camsoc-par` worker threads (sharing one snapshot) and
 //! [`multi_corner::signoff`] folds the classic best/worst pair — setup
 //! at the slow corner, hold at the fast corner — into one verdict.
 //!

@@ -8,7 +8,10 @@
 //! evaluation order) and the flop→clock resolution (the two fallible,
 //! corner-independent derivations) are computed **once** here and
 //! shared, and each corner's annotate/report pass runs as one
-//! `camsoc-par` work item walking the snapshot's flat arrays.
+//! `camsoc-par` work item walking the snapshot's flat arrays. A caller
+//! that already holds a current snapshot — an
+//! [`IncrementalSta`](crate::IncrementalSta) after an ECO loop — passes
+//! it to [`signoff_compiled`] and skips the compile.
 //!
 //! Determinism: each per-corner pass is a pure function of the shared
 //! inputs and its own corner, and [`camsoc_par::map`] merges results in
@@ -38,6 +41,7 @@
 //! # }
 //! ```
 
+use camsoc_netlist::compiled::CompiledNetlist;
 use camsoc_par::Parallelism;
 
 use crate::analysis::{Sta, StaError, TimingReport};
@@ -61,10 +65,21 @@ pub fn analyze_corners(
     par: Parallelism,
 ) -> Result<Vec<TimingReport>, StaError> {
     let compiled = base.compile_netlist()?;
+    analyze_corners_compiled(base, &compiled, corners, par)
+}
+
+/// [`analyze_corners`] against a snapshot of `base`'s netlist the caller
+/// already holds.
+fn analyze_corners_compiled(
+    base: &Sta<'_>,
+    compiled: &CompiledNetlist,
+    corners: &[Corner],
+    par: Parallelism,
+) -> Result<Vec<TimingReport>, StaError> {
     let flop_clock = base.flop_clock_map()?;
     Ok(camsoc_par::map(par, corners, |corner| {
         let sta = base.at_corner(*corner);
-        let ann = sta.annotate_with_compiled(&compiled, flop_clock.clone());
+        let ann = sta.annotate_with(compiled, flop_clock.clone());
         sta.report_from(&ann)
     }))
 }
@@ -103,7 +118,25 @@ pub fn signoff(
     fast: Corner,
     par: Parallelism,
 ) -> Result<CornerSignoff, StaError> {
-    let mut reports = analyze_corners(base, &[slow, fast], par)?;
+    signoff_compiled(base, &base.compile_netlist()?, slow, fast, par)
+}
+
+/// [`signoff`] against a snapshot of `base`'s netlist the caller already
+/// holds — typically [`IncrementalSta::compiled`](crate::IncrementalSta::compiled)
+/// after an ECO loop, so the loop and its sign-off share one compile.
+///
+/// # Errors
+///
+/// [`StaError::NoClock`] / [`StaError::UnclockedFlop`], as in
+/// [`analyze_corners`].
+pub fn signoff_compiled(
+    base: &Sta<'_>,
+    compiled: &CompiledNetlist,
+    slow: Corner,
+    fast: Corner,
+    par: Parallelism,
+) -> Result<CornerSignoff, StaError> {
+    let mut reports = analyze_corners_compiled(base, compiled, &[slow, fast], par)?;
     let fast_report = reports.pop().expect("two corners in, two reports out");
     let slow_report = reports.pop().expect("two corners in, two reports out");
     Ok(CornerSignoff {

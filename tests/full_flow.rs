@@ -50,18 +50,22 @@ fn dsc_controller_reaches_signoff() {
         result.lvs.clean(),
         result.equivalence.verdict);
 
-    // compile audit: the flow derives a CompiledNetlist exactly four
-    // times — ATPG's fault universe, the sign-off STA baseline, and
-    // the two equivalence models. Any growth here means a kernel
-    // started silently re-deriving the compiled view per call.
+    // compile audit: the flow derives a CompiledNetlist exactly six
+    // times — the pre-layout STA, the layout sign-off STA, ATPG's fault
+    // universe, the timing-fix STA (its ECO loop and two-corner
+    // sign-off share one snapshot), and the two equivalence models. Any
+    // growth here means a kernel started silently re-deriving the
+    // compiled view per call.
     use camsoc::flow::StageId;
     assert_eq!(
         result.compile_stats.total(),
-        4,
+        6,
         "per-stage compiles: {:?}",
         result.compile_stats.per_stage
     );
+    assert_eq!(result.compile_stats.for_stage(StageId::PreSta), 1);
     assert_eq!(result.compile_stats.for_stage(StageId::Atpg), 1);
+    assert_eq!(result.compile_stats.for_stage(StageId::Layout), 1);
     assert_eq!(result.compile_stats.for_stage(StageId::TimingFix), 1);
     assert_eq!(result.compile_stats.for_stage(StageId::Equiv), 2);
 

@@ -2,42 +2,14 @@
 //! 29-change history. After every netlist-touching change the patched
 //! annotation must reproduce a from-scratch analysis bit-for-bit (WNS,
 //! TNS, path endpoints — the whole report) while evaluating strictly
-//! fewer graph nodes, across both timing corners and two replay seeds.
+//! fewer gates and nets, and the engine's journal-patched snapshot must
+//! equal a fresh compile, across both timing corners and two replay
+//! seeds.
 
 use camsoc::flow::build_dsc;
 use camsoc::flow::eco::{apply_change, paper_change_history, ReplayContext};
-use camsoc::netlist::graph::{InstanceId, NetDriver, Netlist};
 use camsoc::netlist::tech::Technology;
 use camsoc::sta::{Constraints, Corner, Sta};
-
-/// The incrementally maintained levelization must stay a valid
-/// topological order over exactly the instances a fresh Kahn pass
-/// levelizes (any valid order times identically; the *membership and
-/// validity* are what the persistent structure must preserve).
-fn assert_valid_topo(nl: &Netlist, order: &[InstanceId], context: &str) {
-    let fresh = nl.combinational_topo_order().expect("acyclic");
-    assert_eq!(order.len(), fresh.len(), "{context}: order length");
-    let mut pos = vec![usize::MAX; nl.num_instances()];
-    for (i, &id) in order.iter().enumerate() {
-        assert_eq!(pos[id.index()], usize::MAX, "{context}: duplicate instance in order");
-        pos[id.index()] = i;
-    }
-    for &id in &fresh {
-        assert_ne!(pos[id.index()], usize::MAX, "{context}: instance missing from order");
-    }
-    for &id in order {
-        for &inp in &nl.instance(id).inputs {
-            if let Some(NetDriver::Instance(d)) = nl.net(inp).driver {
-                if pos[d.index()] != usize::MAX {
-                    assert!(
-                        pos[d.index()] < pos[id.index()],
-                        "{context}: edge violates incremental order"
-                    );
-                }
-            }
-        }
-    }
-}
 
 /// Replay the full history at one (corner, seed) point, diffing the
 /// incremental report against a from-scratch analysis after each
@@ -104,11 +76,11 @@ fn replay_and_diff(corner: Corner, seed: u64) {
         // ...then the whole report (hold checks, violation lists, fmax)
         assert_eq!(report, full, "change {i} ({:?}): report diverged", request.kind);
 
-        // the persistent levelization must remain a valid topo order
-        assert_valid_topo(
-            &current,
-            inc.annotation().topo_order(),
-            &format!("change {i} ({:?})", request.kind),
+        // the patched snapshot must be exactly a fresh compile
+        assert!(
+            *inc.compiled() == current.compile().expect("acyclic"),
+            "change {i} ({:?}): patched snapshot diverged from a fresh compile",
+            request.kind
         );
 
         let stats = inc.stats();
@@ -121,17 +93,18 @@ fn replay_and_diff(corner: Corner, seed: u64) {
             stats.full_evaluated
         );
         // O(cone) bookkeeping: every localized change must patch the
-        // persistent structures, not rebuild them, and the patch work
-        // must stay well below netlist size.
+        // snapshot, not recompile it, and the patch work (levels
+        // recomputed, fanout entries moved, endpoint requirements
+        // re-derived) must stay well below netlist size.
         let nets = current.num_nets();
         assert!(
             !stats.structures_rebuilt,
-            "change {i} ({:?}): derived structures were rebuilt, not patched",
+            "change {i} ({:?}): snapshot was recompiled, not patched",
             request.kind
         );
         assert!(
             stats.order_reordered < nets / 2,
-            "change {i} ({:?}): order repair reassigned {} slots ({} nets)",
+            "change {i} ({:?}): level repair recomputed {} levels ({} nets)",
             request.kind,
             stats.order_reordered,
             nets
