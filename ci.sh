@@ -133,6 +133,17 @@ cargo test -q --release --test par_determinism \
 t7c=$(date +%s)
 echo "hier smoke wall clock: $((t7c - t7b)) s"
 
+# DFT smoke: full-universe ATPG on the scanned DSC block at two seeds
+# must reproduce its pinned result exactly — every fault bucket, the
+# random/PODEM split, the pattern count, the fault-simulation gate
+# evaluations and an FNV-1a digest of the pattern bits. Already in the
+# suite above; named here so an ATPG regression is called out in the CI
+# log.
+echo "== dft: golden ATPG smoke =="
+cargo test -q --release --test fsim_cache golden_atpg_on_the_dsc_block
+t7d=$(date +%s)
+echo "dft smoke wall clock: $((t7d - t7c)) s"
+
 # Docs smoke: the performance/architecture documentation must stay in
 # sync with the tree. Fails if any relative markdown link in README,
 # docs/ARCHITECTURE.md or docs/PERFORMANCE.md points at a missing file,

@@ -12,11 +12,14 @@
 //!    assignable source, imply by 3-valued simulation of the good and
 //!    faulty machines, backtrack on conflict. Faults whose search space
 //!    exhausts are *untestable* (redundant); faults that hit the
-//!    backtrack budget are *aborted*.
+//!    backtrack budget are *aborted*. The search reads only the
+//!    compiled snapshot of [`CombCircuit`]: a fault's cone of influence
+//!    is its site's [`crate::fsim::ConeIndex`] cone plus that cone's
+//!    combinational fanin, in `(level, id)` order.
 
 use camsoc_netlist::cell::{CellFunction, MAX_CELL_INPUTS};
 use camsoc_netlist::generate::SplitMix64;
-use camsoc_netlist::graph::{NetDriver, NetId, Netlist};
+use camsoc_netlist::graph::{InstanceId, NetId, Netlist};
 use camsoc_netlist::NetlistError;
 use camsoc_par::Parallelism;
 
@@ -244,11 +247,6 @@ impl<'a> Atpg<'a> {
         Ok(Atpg { cc, faults, cfg })
     }
 
-    /// Access the prepared combinational circuit.
-    pub fn circuit(&self) -> &CombCircuit<'a> {
-        &self.cc
-    }
-
     /// Run both phases and return the result.
     pub fn run(&self) -> AtpgResult {
         let mut rng = SplitMix64::new(self.cfg.seed);
@@ -266,7 +264,6 @@ impl<'a> Atpg<'a> {
             }
             let assign: Vec<u64> = (0..nsrc).map(|_| rng.next_u64()).collect();
             let good = self.cc.good_sim(&assign);
-            let mut lane_useful = 0u64;
             let before = undetected.len();
             // fault universe partitioned across threads; the per-fault
             // lanes are independent, and the drop + first-lane merge
@@ -279,22 +276,13 @@ impl<'a> Atpg<'a> {
                 self.cfg.fsim_mode,
                 &counters,
             );
-            let mut survivors = Vec::with_capacity(undetected.len());
-            for (&f, &lanes) in undetected.iter().zip(&lanes_all) {
-                if lanes != 0 {
-                    lane_useful |= lanes & lanes.wrapping_neg(); // first lane
-                } else {
-                    survivors.push(f);
-                }
-            }
-            undetected = survivors;
+            // each detected fault keeps its first detecting lane
+            let lane_useful =
+                lanes_all.iter().fold(0u64, |acc, &lanes| acc | (lanes & lanes.wrapping_neg()));
+            keep_undetected(&mut undetected, &lanes_all);
             let newly = before - undetected.len();
             random_detected += newly;
-            if newly == 0 {
-                stall += 1;
-            } else {
-                stall = 0;
-            }
+            stall = if newly == 0 { stall + 1 } else { 0 };
             // keep the useful lanes as patterns
             let mut l = lane_useful;
             while l != 0 {
@@ -316,15 +304,13 @@ impl<'a> Atpg<'a> {
             // already aborted? (such a fault can still be rescued later
             // by fault dropping, so the flag travels with the fault)
             let mut was_aborted = vec![false; remaining.len()];
+            let mut walk = ConeWalk::new(&self.cc);
             let mut i = 0usize;
             let mut attempted = 0usize;
-            while i < remaining.len() {
+            while i < remaining.len() && attempted < cap {
                 let fault = remaining[i];
-                if attempted >= cap {
-                    break;
-                }
                 attempted += 1;
-                match self.podem(fault) {
+                match self.podem(fault, &mut walk) {
                     PodemOutcome::Test(pattern) => {
                         podem_detected += 1;
                         remaining.swap_remove(i);
@@ -343,18 +329,8 @@ impl<'a> Atpg<'a> {
                             self.cfg.fsim_mode,
                             &counters,
                         );
-                        let mut survivors = Vec::with_capacity(remaining.len());
-                        let mut survivor_flags = Vec::with_capacity(remaining.len());
-                        for ((&f, &flag), &lanes) in
-                            remaining.iter().zip(&was_aborted).zip(&lanes_all)
-                        {
-                            if lanes == 0 {
-                                survivors.push(f);
-                                survivor_flags.push(flag);
-                            }
-                        }
-                        remaining = survivors;
-                        was_aborted = survivor_flags;
+                        keep_undetected(&mut remaining, &lanes_all);
+                        keep_undetected(&mut was_aborted, &lanes_all);
                         podem_detected += before - remaining.len();
                         patterns.push(pattern);
                         // do not advance i: swap_remove replaced position i
@@ -395,132 +371,94 @@ impl<'a> Atpg<'a> {
     // ---- PODEM ----
 
     /// Compute the cone of instances relevant to a fault: the fanout
-    /// cone of the fault site plus the transitive fanin of everything in
-    /// it, in global topological order. PODEM then simulates only this
-    /// region — the standard cone-of-influence optimisation that makes
+    /// cone of the fault site (from the shared [`crate::fsim::ConeIndex`])
+    /// plus the transitive combinational fanin of everything in it,
+    /// sorted by `(level, id)` — the snapshot's topological order
+    /// restricted to the cone. PODEM then simulates only this region —
+    /// the standard cone-of-influence optimisation that makes
     /// deterministic ATPG tractable on full-chip netlists.
-    fn fault_cone(&self, fault: StuckAtFault) -> Vec<camsoc_netlist::graph::InstanceId> {
-        use std::collections::HashSet;
-        let nl = self.cc.nl;
-        let seed_net = match fault {
-            StuckAtFault::Net { net, .. } => net,
-            StuckAtFault::Pin { inst, .. } => nl.instance(inst).output,
+    fn fault_cone(&self, fault: StuckAtFault, walk: &mut ConeWalk) -> Vec<u32> {
+        let cn = &self.cc.compiled;
+        let (seed_net, faulty_gate) = match fault {
+            StuckAtFault::Net { net, .. } => (net, None),
+            StuckAtFault::Pin { inst, .. } => {
+                (cn.output(inst), Some(inst.0).filter(|_| !cn.is_sequential(inst)))
+            }
         };
-        // forward: fanout cone instances
-        let mut forward: HashSet<u32> = HashSet::new();
-        let mut stack = vec![seed_net];
-        let mut seen_nets: HashSet<NetId> = HashSet::new();
-        while let Some(net) = stack.pop() {
-            if !seen_nets.insert(net) {
-                continue;
-            }
-            for &g in &self.cc.comb_fanout[net.index()] {
-                if forward.insert(g.0) {
-                    stack.push(nl.instance(g).output);
-                }
-            }
-        }
-        if let StuckAtFault::Pin { inst, .. } = fault {
-            forward.insert(inst.0);
-        }
+        let mut cone: Vec<u32> = self.cc.cones().cone(seed_net).to_vec();
+        cone.extend(faulty_gate);
+        let epoch = walk.next_epoch();
         // backward: transitive fanin of the forward region's inputs and
         // of the fault site itself
-        let mut relevant: HashSet<u32> = forward.clone();
-        let mut stack: Vec<NetId> = vec![seed_net];
-        for &raw in &forward {
-            let inst = nl.instance(camsoc_netlist::graph::InstanceId(raw));
-            stack.extend(inst.inputs.iter().copied());
+        walk.stack.clear();
+        walk.stack.push(seed_net.0);
+        for &g in &cone {
+            walk.gate_seen[g as usize] = epoch;
+            walk.stack.extend_from_slice(cn.fanin(InstanceId(g)));
         }
-        let mut seen_back: HashSet<NetId> = HashSet::new();
-        while let Some(net) = stack.pop() {
-            if !seen_back.insert(net) {
+        while let Some(net) = walk.stack.pop() {
+            let ni = net as usize;
+            if walk.net_seen[ni] == epoch || self.cc.source_of_net[ni] != u32::MAX {
                 continue;
             }
-            if self.cc.source_index.contains_key(&net) {
-                continue;
-            }
-            if let Some(camsoc_netlist::graph::NetDriver::Instance(d)) = nl.net(net).driver
-            {
-                if nl.instance(d).function().is_sequential() {
-                    continue;
-                }
-                if relevant.insert(d.0) {
-                    stack.extend(nl.instance(d).inputs.iter().copied());
+            walk.net_seen[ni] = epoch;
+            if let Some(d) = cn.driver_instance(NetId(net)) {
+                if !cn.is_sequential(d) && walk.gate_seen[d.index()] != epoch {
+                    walk.gate_seen[d.index()] = epoch;
+                    cone.push(d.0);
+                    walk.stack.extend_from_slice(cn.fanin(d));
                 }
             }
         }
-        // global topo order filtered to the relevant set
-        self.cc
-            .order
-            .iter()
-            .copied()
-            .filter(|id| relevant.contains(&id.0))
-            .collect()
+        cone.sort_unstable_by_key(|&g| (cn.level(InstanceId(g)), g));
+        cone
     }
 
-    fn podem(&self, fault: StuckAtFault) -> PodemOutcome {
+    fn podem(&self, fault: StuckAtFault, walk: &mut ConeWalk) -> PodemOutcome {
         let nsrc = self.cc.sources.len();
-        let cone = self.fault_cone(fault);
+        let cone = self.fault_cone(fault, walk);
+        // every step rewrites the sources, the fault net and the cone
+        // outputs; every other net stays X, so the buffers live per fault
+        let mut good = vec![VX; self.cc.compiled.num_nets()];
+        let mut faulty = good.clone();
         // decision stack: (source index, current value, tried both?)
         let mut stack: Vec<(usize, bool, bool)> = Vec::new();
         let mut assignment: Vec<u8> = vec![VX; nsrc];
         let mut backtracks = 0usize;
 
         loop {
-            let (good, faulty) = self.sim3(&assignment, fault, &cone);
-            match self.analyze_state(fault, &good, &faulty, &cone) {
+            self.sim3(&assignment, fault, &cone, &mut good, &mut faulty);
+            let decision = match self.analyze_state(fault, &good, &faulty, &cone) {
                 State::Detected => {
                     let pattern =
                         assignment.iter().map(|&v| v == V1).collect::<Pattern>();
                     return PodemOutcome::Test(pattern);
                 }
-                State::Conflict => {
-                    // backtrack
-                    loop {
-                        match stack.pop() {
-                            Some((src, val, tried_both)) => {
-                                assignment[src] = VX;
-                                if !tried_both {
-                                    backtracks += 1;
-                                    if backtracks > self.cfg.podem_backtrack_limit {
-                                        return PodemOutcome::Aborted;
-                                    }
-                                    assignment[src] = if val { V0 } else { V1 };
-                                    stack.push((src, !val, true));
-                                    break;
-                                }
+                State::Conflict => None,
+                // no X path to a source is a conflict too
+                State::Objective(net, want) => self.backtrace(net, want, &good, &assignment),
+            };
+            if let Some((src, val)) = decision {
+                assignment[src] = bit3(val);
+                stack.push((src, val, false));
+                continue;
+            }
+            // backtrack: flip the most recent decision not yet tried both ways
+            loop {
+                match stack.pop() {
+                    Some((src, val, tried_both)) => {
+                        assignment[src] = VX;
+                        if !tried_both {
+                            backtracks += 1;
+                            if backtracks > self.cfg.podem_backtrack_limit {
+                                return PodemOutcome::Aborted;
                             }
-                            None => return PodemOutcome::Untestable,
+                            assignment[src] = bit3(!val);
+                            stack.push((src, !val, true));
+                            break;
                         }
                     }
-                }
-                State::Objective(net, want) => {
-                    match self.backtrace(net, want, &good, &assignment) {
-                        Some((src, val)) => {
-                            assignment[src] = if val { V1 } else { V0 };
-                            stack.push((src, val, false));
-                        }
-                        None => {
-                            // no X path to a source — treat as conflict
-                            loop {
-                                match stack.pop() {
-                                    Some((src, val, tried_both)) => {
-                                        assignment[src] = VX;
-                                        if !tried_both {
-                                            backtracks += 1;
-                                            if backtracks > self.cfg.podem_backtrack_limit {
-                                                return PodemOutcome::Aborted;
-                                            }
-                                            assignment[src] = if val { V0 } else { V1 };
-                                            stack.push((src, !val, true));
-                                            break;
-                                        }
-                                    }
-                                    None => return PodemOutcome::Untestable,
-                                }
-                            }
-                        }
-                    }
+                    None => return PodemOutcome::Untestable,
                 }
             }
         }
@@ -532,47 +470,40 @@ impl<'a> Atpg<'a> {
         &self,
         assignment: &[u8],
         fault: StuckAtFault,
-        cone: &[camsoc_netlist::graph::InstanceId],
-    ) -> (Vec<u8>, Vec<u8>) {
-        let n = self.cc.nl.num_nets();
-        let mut good = vec![VX; n];
-        let mut faulty = vec![VX; n];
-        for (i, &net) in self.cc.sources.iter().enumerate() {
-            good[net.index()] = assignment[i];
-            faulty[net.index()] = assignment[i];
+        cone: &[u32],
+        good: &mut [u8],
+        faulty: &mut [u8],
+    ) {
+        let cn = &self.cc.compiled;
+        for (&net, &v) in self.cc.sources.iter().zip(assignment) {
+            good[net.index()] = v;
+            faulty[net.index()] = v;
         }
         if let StuckAtFault::Net { net, stuck_one } = fault {
-            faulty[net.index()] = if stuck_one { V1 } else { V0 };
+            faulty[net.index()] = bit3(stuck_one);
         }
-        for &id in cone {
-            let inst = self.cc.nl.instance(id);
+        for &raw in cone {
+            let id = InstanceId(raw);
+            let fanin = cn.fanin(id);
             let mut gi = [VX; MAX_CELL_INPUTS];
             let mut fi = [VX; MAX_CELL_INPUTS];
-            for (k, &nid) in inst.inputs.iter().enumerate() {
-                gi[k] = good[nid.index()];
-                fi[k] = faulty[nid.index()];
+            for (k, &n) in fanin.iter().enumerate() {
+                gi[k] = good[n as usize];
+                fi[k] = faulty[n as usize];
             }
             if let StuckAtFault::Pin { inst: fi_inst, pin, stuck_one } = fault {
                 if fi_inst == id {
-                    fi[pin] = if stuck_one { V1 } else { V0 };
+                    fi[pin] = bit3(stuck_one);
                 }
             }
-            let out = inst.output.index();
-            let nin = inst.inputs.len().clamp(1, MAX_CELL_INPUTS);
-            good[out] = eval3(inst.function(), &gi[..nin]);
-            let fv = eval3(inst.function(), &fi[..nin]);
-            faulty[out] = match fault {
-                StuckAtFault::Net { net, stuck_one } if net.index() == out => {
-                    if stuck_one {
-                        V1
-                    } else {
-                        V0
-                    }
-                }
-                _ => fv,
+            let out = cn.output(id);
+            let nin = fanin.len().clamp(1, MAX_CELL_INPUTS);
+            good[out.index()] = eval3(cn.function(id), &gi[..nin]);
+            faulty[out.index()] = match fault {
+                StuckAtFault::Net { net, stuck_one } if net == out => bit3(stuck_one),
+                _ => eval3(cn.function(id), &fi[..nin]),
             };
         }
-        (good, faulty)
     }
 
     fn analyze_state(
@@ -580,61 +511,52 @@ impl<'a> Atpg<'a> {
         fault: StuckAtFault,
         good: &[u8],
         faulty: &[u8],
-        cone: &[camsoc_netlist::graph::InstanceId],
+        cone: &[u32],
     ) -> State {
-        // detection: a sink where good and faulty are both binary and differ
-        for &sink in &self.cc.sinks {
-            let g = good[sink.index()];
-            let f = faulty[sink.index()];
-            if g != VX && f != VX && g != f {
-                return State::Detected;
-            }
+        let cn = &self.cc.compiled;
+        let differs = |n: usize| good[n] != VX && faulty[n] != VX && good[n] != faulty[n];
+        // detection: a sink where good and faulty are both binary and
+        // differ — only the fault net and the cone outputs can
+        let fault_net = match fault {
+            StuckAtFault::Net { net, .. } => Some(net),
+            StuckAtFault::Pin { .. } => None,
+        };
+        let mut touched =
+            fault_net.into_iter().chain(cone.iter().map(|&g| cn.output(InstanceId(g))));
+        if touched.any(|n| self.cc.is_sink[n.index()] && differs(n.index())) {
+            return State::Detected;
         }
         // excitation
-        let (site_good, want_good): (u8, u8) = match fault {
-            StuckAtFault::Net { net, stuck_one } => {
-                (good[net.index()], if stuck_one { V0 } else { V1 })
-            }
-            StuckAtFault::Pin { inst, pin, stuck_one } => {
-                let net = self.cc.nl.instance(inst).inputs[pin];
-                (good[net.index()], if stuck_one { V0 } else { V1 })
-            }
+        let (site, stuck_one) = match fault {
+            StuckAtFault::Net { net, stuck_one } => (net, stuck_one),
+            StuckAtFault::Pin { inst, pin, stuck_one } => (NetId(cn.fanin(inst)[pin]), stuck_one),
         };
+        let want_good = if stuck_one { V0 } else { V1 };
+        let site_good = good[site.index()];
         if site_good == VX {
-            let net = match fault {
-                StuckAtFault::Net { net, .. } => net,
-                StuckAtFault::Pin { inst, pin, .. } => self.cc.nl.instance(inst).inputs[pin],
-            };
-            return State::Objective(net, want_good == V1);
+            return State::Objective(site, want_good == V1);
         }
         if site_good != want_good {
             return State::Conflict;
         }
         // fault excited; find the D-frontier: gates with a differing
         // binary input and an undetermined output difference
-        for &id in cone {
-            let inst = self.cc.nl.instance(id);
-            let out = inst.output.index();
-            let out_diff_known =
-                good[out] != VX && faulty[out] != VX && good[out] != faulty[out];
-            if out_diff_known {
+        for &raw in cone {
+            let id = InstanceId(raw);
+            let fanin = cn.fanin(id);
+            let out = cn.output(id).index();
+            if differs(out) {
                 continue; // difference already past this gate
             }
-            let has_diff_input = inst.inputs.iter().any(|&n| {
-                let g = good[n.index()];
-                let f = faulty[n.index()];
-                g != VX && f != VX && g != f
-            }) || matches!(fault, StuckAtFault::Pin { inst: fi, .. } if fi == id);
+            let has_diff_input = fanin.iter().any(|&n| differs(n as usize))
+                || matches!(fault, StuckAtFault::Pin { inst: fi, .. } if fi == id);
             if !has_diff_input {
                 continue;
             }
             if good[out] == VX || faulty[out] == VX {
                 // objective: set an X side-input to the non-controlling value
-                for &n in &inst.inputs {
-                    if good[n.index()] == VX {
-                        let want = non_controlling(inst.function());
-                        return State::Objective(n, want);
-                    }
+                if let Some(&n) = fanin.iter().find(|&&n| good[n as usize] == VX) {
+                    return State::Objective(NetId(n), non_controlling(cn.function(id)));
                 }
             }
         }
@@ -649,40 +571,60 @@ impl<'a> Atpg<'a> {
         good: &[u8],
         assignment: &[u8],
     ) -> Option<(usize, bool)> {
+        let cn = &self.cc.compiled;
         for _ in 0..200_000 {
-            if let Some(&src) = self.cc.source_index.get(&net) {
-                if assignment[src] == VX {
-                    return Some((src, want));
+            let src = self.cc.source_of_net[net.index()];
+            if src != u32::MAX {
+                if assignment[src as usize] == VX {
+                    return Some((src as usize, want));
                 }
                 return None; // already assigned — cannot satisfy here
             }
-            let driver = match self.cc.nl.net(net).driver {
-                Some(NetDriver::Instance(id)) => id,
-                _ => return None,
-            };
-            let inst = self.cc.nl.instance(driver);
-            let f = inst.function();
+            let driver = cn.driver_instance(net)?;
+            let f = cn.function(driver);
             if f.is_tie() {
                 return None;
             }
             // choose an X input to chase
-            let x_input = inst
-                .inputs
-                .iter()
-                .copied()
-                .find(|&n| good[n.index()] == VX)?;
-            let (inverting, _anding) = gate_class(f);
-            let next_want = match f {
-                CellFunction::Xor2 | CellFunction::Xnor2 | CellFunction::Mux2 => want,
-                CellFunction::Maj3 => want,
-                // AND-like: output 1 needs all inputs 1; OR-like: output 0
-                // needs all inputs 0 — either way the same literal chases up
-                _ => want ^ inverting,
-            };
-            net = x_input;
-            want = next_want;
+            let x_input = cn.fanin(driver).iter().copied().find(|&n| good[n as usize] == VX)?;
+            // AND-like: output 1 needs all inputs 1; OR-like: output 0
+            // needs all inputs 0 — either way the same literal chases up,
+            // through an inversion for inverting gates (XOR, MUX and MAJ
+            // chase the literal as is)
+            net = NetId(x_input);
+            want ^= inverting(f);
         }
         None
+    }
+}
+
+/// Per-run PODEM scratch: epoch stamps for the fault-cone walk,
+/// allocated once per [`Atpg::run`] and reused by every fault.
+struct ConeWalk {
+    gate_seen: Vec<u32>,
+    net_seen: Vec<u32>,
+    epoch: u32,
+    stack: Vec<u32>,
+}
+
+impl ConeWalk {
+    fn new(cc: &CombCircuit<'_>) -> ConeWalk {
+        ConeWalk {
+            gate_seen: vec![0; cc.compiled.num_instances()],
+            net_seen: vec![0; cc.compiled.num_nets()],
+            epoch: 0,
+            stack: Vec::new(),
+        }
+    }
+
+    fn next_epoch(&mut self) -> u32 {
+        if self.epoch == u32::MAX {
+            self.gate_seen.fill(0);
+            self.net_seen.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.epoch
     }
 }
 
@@ -699,37 +641,33 @@ enum PodemOutcome {
     Aborted,
 }
 
-/// `(inverting, and_like)` classification for backtrace parity.
-fn gate_class(f: CellFunction) -> (bool, bool) {
-    match f {
-        CellFunction::Inv | CellFunction::Nand2 | CellFunction::Nand3 | CellFunction::Nand4 => {
-            (true, true)
-        }
-        CellFunction::Nor2 | CellFunction::Nor3 => (true, false),
-        CellFunction::And2 | CellFunction::And3 => (false, true),
-        CellFunction::Or2 | CellFunction::Or3 => (false, false),
-        CellFunction::Aoi21 => (true, true),
-        CellFunction::Oai21 => (true, false),
-        _ => (false, true),
+/// Keep the entries of `items` (lockstep with `lanes`) whose fault no
+/// pattern lane detected.
+fn keep_undetected<T>(items: &mut Vec<T>, lanes: &[u64]) {
+    let mut detected = lanes.iter().map(|&l| l != 0);
+    items.retain(|_| detected.next() == Some(false));
+}
+
+/// The 3-valued constant for a binary value.
+fn bit3(b: bool) -> u8 {
+    if b {
+        V1
+    } else {
+        V0
     }
 }
 
-/// The non-controlling input value of a gate (used to sensitise paths).
+/// Does the gate invert (backtrace parity)?
+fn inverting(f: CellFunction) -> bool {
+    use CellFunction::*;
+    matches!(f, Inv | Nand2 | Nand3 | Nand4 | Nor2 | Nor3 | Aoi21 | Oai21)
+}
+
+/// The non-controlling input value of a gate (used to sensitise paths):
+/// 0 for OR-like gates, 1 for everything else.
 fn non_controlling(f: CellFunction) -> bool {
-    match f {
-        CellFunction::And2
-        | CellFunction::And3
-        | CellFunction::Nand2
-        | CellFunction::Nand3
-        | CellFunction::Nand4
-        | CellFunction::Aoi21 => true,
-        CellFunction::Or2
-        | CellFunction::Or3
-        | CellFunction::Nor2
-        | CellFunction::Nor3
-        | CellFunction::Oai21 => false,
-        _ => true,
-    }
+    use CellFunction::*;
+    !matches!(f, Or2 | Or3 | Nor2 | Nor3 | Oai21)
 }
 
 #[cfg(test)]

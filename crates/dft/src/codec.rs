@@ -140,8 +140,14 @@ impl Codec for AtpgResult {
             podem_detected: d.get_usize()?,
             fsim_stats: FsimStats::decode(d)?,
         };
-        // Bucket invariant the rest of the repo relies on.
-        if out.detected + out.untestable + out.aborted + out.not_attempted != out.total_faults {
+        // Bucket invariant the rest of the repo relies on; a sum that
+        // overflows is as corrupt as one that misses the total.
+        let sum = out
+            .detected
+            .checked_add(out.untestable)
+            .and_then(|s| s.checked_add(out.aborted))
+            .and_then(|s| s.checked_add(out.not_attempted));
+        if sum != Some(out.total_faults) {
             return Err(CodecError::Corrupt(format!(
                 "atpg buckets {}+{}+{}+{} != total {}",
                 out.detected, out.untestable, out.aborted, out.not_attempted, out.total_faults
@@ -221,6 +227,28 @@ mod tests {
         };
         let mut e = Encoder::new();
         AtpgResult { total_faults: 11, ..good }.encode(&mut e);
+        let bytes = e.into_bytes();
+        assert!(matches!(
+            AtpgResult::decode(&mut Decoder::new(&bytes)),
+            Err(CodecError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn overflowing_bucket_sum_is_corrupt() {
+        let mut e = Encoder::new();
+        AtpgResult {
+            total_faults: 0,
+            detected: usize::MAX,
+            untestable: 1,
+            aborted: 0,
+            not_attempted: 0,
+            patterns: vec![],
+            random_detected: 0,
+            podem_detected: 0,
+            fsim_stats: FsimStats::default(),
+        }
+        .encode(&mut e);
         let bytes = e.into_bytes();
         assert!(matches!(
             AtpgResult::decode(&mut Decoder::new(&bytes)),

@@ -17,7 +17,8 @@
 //!   pointer-rich [`Netlist`] graph.
 //! * [`FsimMode::Cached`] — the production path: a [`ConeIndex`] built
 //!   once per circuit stores every net's fanout cone in level order
-//!   (faults sharing a stem share the cone), and a reusable
+//!   (faults sharing a stem share the cone; PODEM's fault cones start
+//!   from it too), and a reusable
 //!   epoch-stamped [`FsimScratch`] replaces all per-fault containers, so
 //!   steady-state fault simulation performs **zero heap allocation**.
 //!   Walking the precomputed level-ordered cone and evaluating only
@@ -29,6 +30,11 @@
 //!   of chasing `Instance` structs — cache lines carry only the fields
 //!   the inner loop touches.
 //!
+//! [`CombCircuit`] adds only the source/sink tables to that snapshot:
+//! levels, the topological order and the combinational fanout
+//! (`CombCircuit::comb_fanout`) are read from it, and the good machine
+//! is simulated by [`CompiledNetlist::eval_lanes`].
+//!
 //! [`FsimCounters`] / [`FsimStats`] record gate evaluations, early exits
 //! and container allocations for both engines, mirroring the STA
 //! engine's `UpdateStats`.
@@ -38,7 +44,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use camsoc_netlist::cell::MAX_CELL_INPUTS;
-use camsoc_netlist::compiled::CompiledNetlist;
+use camsoc_netlist::compiled::{CompiledNetlist, CLOCK_PIN};
 use camsoc_netlist::graph::{InstanceId, NetId, Netlist};
 use camsoc_netlist::NetlistError;
 use camsoc_par::Parallelism;
@@ -150,7 +156,7 @@ impl ConeIndex {
             let begin = items.len();
             stack.push(NetId(n as u32));
             while let Some(net) = stack.pop() {
-                for &g in &cc.comb_fanout[net.index()] {
+                for g in cc.comb_fanout(net) {
                     if stamp[g.index()] != epoch {
                         stamp[g.index()] = epoch;
                         items.push(g.0);
@@ -158,7 +164,7 @@ impl ConeIndex {
                     }
                 }
             }
-            items[begin..].sort_unstable_by_key(|&raw| (cc.level[raw as usize], raw));
+            items[begin..].sort_unstable_by_key(|&raw| (cc.compiled.level(InstanceId(raw)), raw));
         }
         start.push(items.len());
         ConeIndex { start, items }
@@ -231,24 +237,17 @@ pub struct CombCircuit<'a> {
     /// The netlist.
     pub nl: &'a Netlist,
     /// Flat SoA/CSR snapshot ([`Netlist::compile`]) the hot loops read
-    /// instead of chasing `Instance` structs through `nl`.
+    /// instead of chasing `Instance` structs through `nl`: fanin,
+    /// fanout, logic levels and the `(level, id)` topological order.
     pub compiled: CompiledNetlist,
-    /// Topological order of combinational instances (the compiled
-    /// snapshot's `(level, id)`-sorted order — any valid topological
-    /// order produces identical simulation values).
-    pub order: Vec<InstanceId>,
     /// Source nets (PIs, flop Qs, macro outputs), deterministic order.
     pub sources: Vec<NetId>,
     /// Sink nets (POs, flop data pins, macro inputs), deduplicated.
     pub sinks: Vec<NetId>,
     /// Per-net: is it a sink?
     pub is_sink: Vec<bool>,
-    /// Per-net: combinational gates reading it.
-    pub comb_fanout: Vec<Vec<InstanceId>>,
-    /// Per-instance logic level (1 + max level of comb fanin).
-    pub level: Vec<usize>,
-    /// Per-net: index into `sources` if the net is a source.
-    pub source_index: HashMap<NetId, usize>,
+    /// Dense net → index into `sources` (`u32::MAX` = not a source).
+    pub(crate) source_of_net: Vec<u32>,
     /// Lazily-built per-net fanout cone index (shared, thread-safe).
     cones: OnceLock<ConeIndex>,
 }
@@ -260,19 +259,18 @@ impl<'a> CombCircuit<'a> {
     ///
     /// Propagates [`NetlistError::CombinationalCycle`].
     pub fn new(nl: &'a Netlist) -> Result<Self, NetlistError> {
-        // one compile pass supplies the topological order and the logic
-        // levels (replacing separate Kahn + level derivations) plus the
-        // flat tables the simulation loops index
+        // one compile pass supplies the topological order, the logic
+        // levels and the flat tables every simulation loop indexes
         let compiled = nl.compile()?;
-        let order = compiled.topo_order().to_vec();
-        let level: Vec<usize> =
-            (0..nl.num_instances()).map(|i| compiled.level(InstanceId(i as u32))).collect();
-        let mut sources = Vec::new();
+        let mut sources: Vec<NetId> = nl.input_ports().map(|(_, p)| p.net).collect();
         let mut sinks = Vec::new();
         let mut is_sink = vec![false; nl.num_nets()];
-        for (_, p) in nl.input_ports() {
-            sources.push(p.net);
-        }
+        let mut add_sink = |n: NetId| {
+            if !is_sink[n.index()] {
+                is_sink[n.index()] = true;
+                sinks.push(n);
+            }
+        };
         for (id, inst) in nl.instances() {
             debug_assert!(
                 inst.inputs.len() <= MAX_CELL_INPUTS,
@@ -282,53 +280,39 @@ impl<'a> CombCircuit<'a> {
             );
             if inst.function().is_sequential() {
                 sources.push(inst.output);
-                for &n in &inst.inputs {
-                    if !is_sink[n.index()] {
-                        is_sink[n.index()] = true;
-                        sinks.push(n);
-                    }
-                }
+                inst.inputs.iter().for_each(|&n| add_sink(n));
             }
         }
         for (_, m) in nl.macros() {
-            for &n in &m.outputs {
-                sources.push(n);
-            }
-            for &n in &m.inputs {
-                if !is_sink[n.index()] {
-                    is_sink[n.index()] = true;
-                    sinks.push(n);
-                }
-            }
+            sources.extend_from_slice(&m.outputs);
+            m.inputs.iter().for_each(|&n| add_sink(n));
         }
         for (_, p) in nl.output_ports() {
-            if !is_sink[p.net.index()] {
-                is_sink[p.net.index()] = true;
-                sinks.push(p.net);
-            }
+            add_sink(p.net);
         }
-        let mut comb_fanout = vec![Vec::new(); nl.num_nets()];
-        for (id, inst) in nl.instances() {
-            if inst.function().is_sequential() {
-                continue;
-            }
-            for &n in &inst.inputs {
-                comb_fanout[n.index()].push(id);
-            }
+        let mut source_of_net = vec![u32::MAX; nl.num_nets()];
+        for (i, &net) in sources.iter().enumerate() {
+            source_of_net[net.index()] = i as u32;
         }
-        let source_index = sources.iter().enumerate().map(|(i, &n)| (n, i)).collect();
         Ok(CombCircuit {
             nl,
             compiled,
-            order,
             sources,
             sinks,
             is_sink,
-            comb_fanout,
-            level,
-            source_index,
+            source_of_net,
             cones: OnceLock::new(),
         })
+    }
+
+    /// The combinational gates reading `net`, one entry per input pin:
+    /// the snapshot's fanout row without sequential loads and clock pins.
+    pub(crate) fn comb_fanout(&self, net: NetId) -> impl Iterator<Item = InstanceId> + '_ {
+        self.compiled
+            .fanout(net)
+            .iter()
+            .filter(|&&(g, pin)| pin != CLOCK_PIN && !self.compiled.is_sequential(InstanceId(g)))
+            .map(|&(g, _)| InstanceId(g))
     }
 
     /// The shared cone index, built on first use (thread-safe).
@@ -346,15 +330,7 @@ impl<'a> CombCircuit<'a> {
         for (&net, &v) in self.sources.iter().zip(assign) {
             values[net.index()] = v;
         }
-        for &id in &self.order {
-            let fanin = self.compiled.fanin(id);
-            let mut ins = [0u64; MAX_CELL_INPUTS];
-            for (k, &n) in fanin.iter().enumerate() {
-                ins[k] = values[n as usize];
-            }
-            values[self.compiled.output(id).index()] =
-                self.compiled.function(id).eval(&ins[..fanin.len()]);
-        }
+        self.compiled.eval_lanes(&mut values);
         values
     }
 
@@ -394,9 +370,9 @@ impl<'a> CombCircuit<'a> {
             if self.is_sink[net.index()] {
                 *detected |= diff;
             }
-            for &g in &self.comb_fanout[net.index()] {
+            for g in self.comb_fanout(net) {
                 if queued.insert(g) {
-                    heap.push(std::cmp::Reverse((self.level[g.index()], g.0)));
+                    heap.push(std::cmp::Reverse((self.compiled.level(g), g.0)));
                 }
             }
         };
@@ -459,9 +435,9 @@ impl<'a> CombCircuit<'a> {
                 if self.is_sink[inst.output.index()] {
                     detected |= diff;
                 }
-                for &g in &self.comb_fanout[inst.output.index()] {
+                for g in self.comb_fanout(inst.output) {
                     if queued.insert(g) {
-                        heap.push(std::cmp::Reverse((self.level[g.index()], g.0)));
+                        heap.push(std::cmp::Reverse((self.compiled.level(g), g.0)));
                     }
                 }
             }
@@ -521,7 +497,7 @@ impl<'a> CombCircuit<'a> {
         if self.is_sink[seed_net.index()] {
             detected |= excited;
         }
-        for &g in &self.comb_fanout[seed_net.index()] {
+        for g in self.comb_fanout(seed_net) {
             if scratch.gate_epoch[g.index()] != epoch {
                 scratch.gate_epoch[g.index()] = epoch;
                 pending += 1;
@@ -554,7 +530,8 @@ impl<'a> CombCircuit<'a> {
             }
             scratch.stats.gate_evals += 1;
             let out = self.compiled.function(id).eval(&ins[..fanin.len()]);
-            let oi = self.compiled.output(id).index();
+            let out_net = self.compiled.output(id);
+            let oi = out_net.index();
             // each net is written at most once per fault (its single
             // driver evaluates once), so prev is always the good value
             let diff = out ^ good[oi];
@@ -568,7 +545,7 @@ impl<'a> CombCircuit<'a> {
                         break;
                     }
                 }
-                for &g in &self.comb_fanout[oi] {
+                for g in self.comb_fanout(out_net) {
                     if scratch.gate_epoch[g.index()] != epoch {
                         scratch.gate_epoch[g.index()] = epoch;
                         pending += 1;
@@ -823,12 +800,13 @@ mod tests {
             // level-ordered, no duplicates
             for w in cone.windows(2) {
                 assert!(
-                    (cc.level[w[0] as usize], w[0]) < (cc.level[w[1] as usize], w[1]),
+                    (cc.compiled.level(InstanceId(w[0])), w[0])
+                        < (cc.compiled.level(InstanceId(w[1])), w[1]),
                     "cone of net {n} not strictly (level, id) ordered"
                 );
             }
             // direct fanout is always in the cone
-            for g in &cc.comb_fanout[net.index()] {
+            for g in cc.comb_fanout(net) {
                 assert!(cone.contains(&g.0), "direct fanout missing from cone");
             }
         }

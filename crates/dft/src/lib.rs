@@ -17,7 +17,8 @@
 //!   allocation-free epoch-stamped scratch on the default
 //!   [`fsim::FsimMode::Cached`] path.
 //! * [`atpg`] — random-pattern generation with fault dropping followed
-//!   by a PODEM-style deterministic phase for the stubborn faults.
+//!   by a PODEM-style deterministic phase for the stubborn faults, which
+//!   walks the same compiled snapshot and cone index as [`fsim`].
 //! * [`vectors`] — scan-vector accounting: load/unload cycles and tester
 //!   time per pattern set.
 //!

@@ -56,7 +56,7 @@ use std::cell::Cell as CounterCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::cell::{Cell, CellFunction, Drive};
+use crate::cell::{Cell, CellFunction, Drive, MAX_CELL_INPUTS};
 use crate::eco::{ConnectivityEdit, EditDelta};
 use crate::error::NetlistError;
 use crate::graph::{Driver, InstanceId, NetId, Netlist};
@@ -734,6 +734,39 @@ impl CompiledNetlist {
     /// ```
     pub fn topo_order(&self) -> &[InstanceId] {
         &self.order
+    }
+
+    /// Evaluate the combinational core 64 patterns at a time, in place:
+    /// `values` holds one `u64` lane word per net with the source nets
+    /// already set, and every combinational gate's output is written in
+    /// [`CompiledNetlist::topo_order`]. Ties evaluate to `0`/`!0`; nets
+    /// no gate drives keep their input value.
+    ///
+    /// ```
+    /// use camsoc_netlist::builder::NetlistBuilder;
+    /// use camsoc_netlist::cell::CellFunction;
+    ///
+    /// let mut b = NetlistBuilder::new("d");
+    /// let a = b.input("a");
+    /// let c = b.input("b");
+    /// let y = b.gate_auto(CellFunction::Xor2, &[a, c]);
+    /// b.output("y", y);
+    /// let cn = b.finish().compile().unwrap();
+    /// let mut values = vec![0u64; cn.num_nets()];
+    /// values[a.index()] = 0b1100;
+    /// values[c.index()] = 0b1010;
+    /// cn.eval_lanes(&mut values);
+    /// assert_eq!(values[y.index()], 0b0110);
+    /// ```
+    pub fn eval_lanes(&self, values: &mut [u64]) {
+        for &id in &self.order {
+            let fanin = self.fanin(id);
+            let mut ins = [0u64; MAX_CELL_INPUTS];
+            for (k, &n) in fanin.iter().enumerate() {
+                ins[k] = values[n as usize];
+            }
+            values[self.output(id).index()] = self.function(id).eval(&ins[..fanin.len()]);
+        }
     }
 
     /// The instance's name, resolved from the interned side table.

@@ -23,7 +23,7 @@ use crate::cell::{CellFunction, MAX_CELL_INPUTS};
 use crate::compiled::CompiledNetlist;
 use crate::error::NetlistError;
 use crate::generate::SplitMix64;
-use crate::graph::{InstanceId, NetDriver, NetId, Netlist};
+use crate::graph::{NetDriver, NetId, Netlist};
 
 /// A combinational source point (pseudo-primary input).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -47,14 +47,13 @@ pub enum SinkKey {
     MacroIn(String, usize),
 }
 
-/// The combinational view of a netlist: sources, sinks, a topological
-/// evaluation order and a compiled SoA snapshot, ready for bit-parallel
-/// simulation.
+/// The combinational view of a netlist: sources, sinks and a compiled
+/// SoA snapshot (whose topological order drives evaluation), ready for
+/// bit-parallel simulation.
 #[derive(Debug)]
 pub struct CombModel<'a> {
     nl: &'a Netlist,
     compiled: CompiledNetlist,
-    order: Vec<InstanceId>,
     /// Dense net → source-variable index (`u32::MAX` = not a source),
     /// in [`CombModel::sources`] iteration order.
     source_of_net: Vec<u32>,
@@ -72,7 +71,6 @@ impl<'a> CombModel<'a> {
     /// Propagates [`NetlistError::CombinationalCycle`].
     pub fn new(nl: &'a Netlist) -> Result<Self, NetlistError> {
         let compiled = nl.compile()?;
-        let order = compiled.topo_order().to_vec();
         let mut sources = BTreeMap::new();
         let mut sinks = BTreeMap::new();
         for (_, port) in nl.input_ports() {
@@ -101,7 +99,7 @@ impl<'a> CombModel<'a> {
         for (i, &net) in sources.values().enumerate() {
             source_of_net[net.index()] = i as u32;
         }
-        Ok(CombModel { nl, compiled, order, source_of_net, sources, sinks })
+        Ok(CombModel { nl, compiled, source_of_net, sources, sinks })
     }
 
     /// Evaluate the combinational core bit-parallel, walking the
@@ -113,27 +111,11 @@ impl<'a> CombModel<'a> {
     /// [`CombModel::eval_graph`].
     pub fn eval(&self, assign: &[u64]) -> Vec<u64> {
         debug_assert_eq!(assign.len(), self.sources.len());
-        let cn = &self.compiled;
-        let mut values = vec![0u64; cn.num_nets()];
+        let mut values = vec![0u64; self.compiled.num_nets()];
         for (value, (_, &net)) in assign.iter().zip(self.sources.iter()) {
             values[net.index()] = *value;
         }
-        for &id in &self.order {
-            let f = cn.function(id);
-            let out = match f {
-                CellFunction::Tie0 => 0,
-                CellFunction::Tie1 => !0u64,
-                _ => {
-                    let fanin = cn.fanin(id);
-                    let mut ins = [0u64; MAX_CELL_INPUTS];
-                    for (k, &n) in fanin.iter().enumerate() {
-                        ins[k] = values[n as usize];
-                    }
-                    f.eval(&ins[..fanin.len()])
-                }
-            };
-            values[cn.output(id).index()] = out;
-        }
+        self.compiled.eval_lanes(&mut values);
         values
     }
 
@@ -147,21 +129,13 @@ impl<'a> CombModel<'a> {
         for (value, (_, &net)) in assign.iter().zip(self.sources.iter()) {
             values[net.index()] = *value;
         }
-        for &id in &self.order {
+        for &id in self.compiled.topo_order() {
             let inst = self.nl.instance(id);
-            let f = inst.function();
-            let out = match f {
-                CellFunction::Tie0 => 0,
-                CellFunction::Tie1 => !0u64,
-                _ => {
-                    let mut ins = [0u64; MAX_CELL_INPUTS];
-                    for (k, &n) in inst.inputs.iter().enumerate() {
-                        ins[k] = values[n.index()];
-                    }
-                    f.eval(&ins[..inst.inputs.len()])
-                }
-            };
-            values[inst.output.index()] = out;
+            let mut ins = [0u64; MAX_CELL_INPUTS];
+            for (k, &n) in inst.inputs.iter().enumerate() {
+                ins[k] = values[n.index()];
+            }
+            values[inst.output.index()] = inst.function().eval(&ins[..inst.inputs.len()]);
         }
         values
     }
