@@ -84,13 +84,16 @@ echo "compiled smoke wall clock: $((t6 - t5)) s"
 # complete with clean sign-off, >= 1 trace recording resumed == true,
 # and GDSII bit-identical to uninterrupted supervisor runs. The
 # kill-after-every-stage matrix behind it also runs named from the
-# suite so a checkpoint-durability regression is called out in the log.
+# suite so a checkpoint-durability regression is called out in the log,
+# as does the worker-count sweep: a healthy queue at 1 and 2 workers
+# must tape out every job with no retry, quarantine or preemption.
 echo "== serve: durable farm kill/restart smoke =="
 rm -rf target/ci-serve-smoke
 cargo run -q --release -p camsoc-serve --bin serve_smoke target/ci-serve-smoke
 rm -rf target/ci-serve-smoke
-cargo test -q --release --test serve_farm \
-    kill_after_every_stage_resumes_bit_identical
+cargo test -q --release --test serve_farm -- \
+    kill_after_every_stage_resumes_bit_identical \
+    results_are_worker_count_invariant
 t7=$(date +%s)
 echo "serve smoke wall clock: $((t7 - t6)) s"
 

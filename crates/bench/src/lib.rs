@@ -1,6 +1,6 @@
 //! # camsoc-bench
 //!
-//! Experiment harnesses (one binary per paper claim, `e01`–`e13`) and
+//! Experiment harnesses (one binary per paper claim, `e01`–`e14`) and
 //! micro-benchmarks driven by the built-in [`timer`] harness (warmup +
 //! median-of-N on the monotonic clock; no Criterion, so the workspace
 //! builds offline). See `EXPERIMENTS.md` at the workspace root for

@@ -1,10 +1,10 @@
 //! Built-in micro-benchmark harness: warmup + median-of-N on the
 //! monotonic clock.
 //!
-//! Replaces the Criterion dev-dependency so the workspace builds and
-//! benches fully offline (see the note in the workspace `Cargo.toml`).
-//! Each `[[bench]]` target has `harness = false` and drives this module
-//! from its own `main`; run them with `cargo bench`.
+//! Dependency-free, so the workspace builds and benches fully offline
+//! (see "Dependencies" in `DESIGN.md`). Each `[[bench]]` target has
+//! `harness = false` and drives this module from its own `main`; run
+//! them with `cargo bench`.
 
 use std::time::{Duration, Instant};
 

@@ -105,6 +105,8 @@ fn kill_after_every_stage_resumes_bit_identical() {
 
 /// Worker-count sweep: the same four jobs through 1 and 2 workers must
 /// produce identical results job for job (no cross-job state exists).
+/// A healthy queue drains without a retry, quarantine or preemption,
+/// and every job tapes out.
 #[test]
 fn results_are_worker_count_invariant() {
     let seeds = [41u64, 42, 43, 44];
@@ -115,6 +117,18 @@ fn results_are_worker_count_invariant() {
         let ids: Vec<_> = seeds.iter().map(|&s| farm.submit(&request(s)).unwrap()).collect();
         let report = farm.run_until_idle().unwrap();
         assert!(report.all_done(), "not all jobs finished with {workers} workers");
+        assert_eq!(
+            (report.retries, report.quarantines, report.preemptions),
+            (0, 0, 0),
+            "healthy queue retried, quarantined or preempted with {workers} workers"
+        );
+        assert_eq!(report.outcomes.len(), seeds.len());
+        for (id, outcome) in &report.outcomes {
+            assert!(
+                matches!(outcome, JobOutcome::Done(r) if r.tapeout_ready()),
+                "job {id:?} did not tape out with {workers} workers"
+            );
+        }
         let prints: Vec<_> =
             ids.iter().map(|id| fingerprint(report.result(*id).unwrap())).collect();
         by_workers.push(prints);
